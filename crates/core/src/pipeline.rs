@@ -1,13 +1,17 @@
 //! Lowering expressions to polynomials: signature extraction for bitwise
 //! subtrees, opaque abstraction for arithmetic-under-bitwise, and the
 //! arithmetic-reduction glue (the body of Algorithm 1).
+//!
+//! A pass walks interned node ids of the simplifier's arena; its output,
+//! the rendered polynomial, is a tree that the caller interns only if it
+//! wins the score (DESIGN.md §14).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mba_expr::arena::Node;
 use mba_expr::classify::{decompose_term, flatten_sum};
-use mba_expr::{BinOp, EvalProgram, Expr, ExprArena, Ident, MbaClass, NodeId, UnOp};
+use mba_expr::{BinOp, EvalProgram, Expr, ExprArena, IdMap, Ident, MbaClass, NodeId, UnOp};
 use mba_sig::{cache, simba, SignatureVector, TruthTable};
 
 use crate::poly::Poly;
@@ -28,6 +32,7 @@ const BDD_TIER_MAX_VARS: usize = 24;
 /// it abstracts so the driver can substitute them back.
 pub(crate) struct Pipeline<'a> {
     simplifier: &'a Simplifier,
+    arena: &'a ExprArena,
     depth: usize,
     /// Names that must not be used for temporaries (the input's own
     /// variables).
@@ -35,10 +40,10 @@ pub(crate) struct Pipeline<'a> {
     /// Temporaries in creation order: `(name, simplified replacement)`.
     temps: Vec<(Ident, Expr)>,
     /// Dedup map from the abstracted subtree's *simplified canonical
-    /// form* to its temporary — sharing here is the paper's
-    /// common-subexpression optimization, robust to the two sites having
-    /// been obfuscated differently.
-    temp_map: HashMap<Expr, Ident>,
+    /// form* (an id of the arena) to its temporary — sharing here is the
+    /// paper's common-subexpression optimization, robust to the two
+    /// sites having been obfuscated differently.
+    temp_map: IdMap<NodeId, Ident>,
     /// Set when a polynomial blow-up forced a bail-out.
     pub(crate) bailed: bool,
     /// Set when the BDD tier canonicalized some subterm (directly or in
@@ -50,13 +55,15 @@ pub(crate) struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    pub(crate) fn new(simplifier: &'a Simplifier, root: &Expr, depth: usize) -> Self {
+    pub(crate) fn new(simplifier: &'a Simplifier, root: NodeId, depth: usize) -> Self {
+        let arena = &**simplifier.arena();
         Pipeline {
             simplifier,
+            arena,
             depth,
-            forbidden: root.vars(),
+            forbidden: arena.vars(root).into_iter().collect(),
             temps: Vec::new(),
-            temp_map: HashMap::new(),
+            temp_map: IdMap::default(),
             bailed: false,
             used_bdd: false,
             skipped_too_many_vars: false,
@@ -66,14 +73,14 @@ impl<'a> Pipeline<'a> {
     /// Runs the pass: lower to a polynomial, render, and substitute the
     /// temporaries back. `None` means the pass bailed out (monomial cap)
     /// and the caller should keep the input.
-    pub(crate) fn run(&mut self, e: &Expr) -> Option<Expr> {
+    pub(crate) fn run(&mut self, root: NodeId) -> Option<Expr> {
         // Constant fast fold: a variable-free input needs no tiering at
         // all — evaluate and render the symmetric residue directly,
         // byte-identical to what the full lowering produces for it.
         // Sits ahead of the fast path's attempt counter, so constants
         // no longer count as (guaranteed-futile) SiMBA attempts.
         if self.forbidden.is_empty() {
-            let value = e.eval(&mba_expr::Valuation::new(), self.width());
+            let value = self.eval_constant(root);
             return Some(
                 Poly::constant(self.signed_residue(value), self.width()).to_expr(),
             );
@@ -84,13 +91,13 @@ impl<'a> Pipeline<'a> {
         // `Poly` type (and, for linear inputs, the same ∧-basis
         // expansion) as the slow path, so the rendered output is
         // byte-identical whichever route ran.
-        let mut poly = self.linear_fast_path(e);
+        let mut poly = self.linear_fast_path(root);
         if poly.is_none() {
-            poly = self.semi_linear_path(e);
+            poly = self.semi_linear_path(root);
         }
         let poly = match poly {
             Some(p) => p,
-            None => self.to_poly(e)?,
+            None => self.to_poly(root)?,
         };
         let mut rendered = poly.to_expr();
         // Substitute in reverse creation order; replacements contain only
@@ -103,6 +110,13 @@ impl<'a> Pipeline<'a> {
 
     fn width(&self) -> u32 {
         self.simplifier.config().width
+    }
+
+    /// The value of a variable-free subtree at the configured width.
+    fn eval_constant(&self, id: NodeId) -> u64 {
+        self.arena
+            .extract(id)
+            .eval(&mba_expr::Valuation::new(), self.width())
     }
 
     /// Reinterprets a masked `width`-bit evaluation result as the
@@ -131,11 +145,14 @@ impl<'a> Pipeline<'a> {
     /// bit-parallel batch sweep plus a Möbius transform — instead of
     /// walking the tree and extracting per-subtree truth tables.
     ///
-    /// The recovered coefficients feed the *same* [`expand_and_basis`]
-    /// the truth-table route uses, so the resulting polynomial is
-    /// byte-identical to the slow path's; any recovery failure (probe
-    /// mismatch, too many variables) falls back to it.
-    fn linear_fast_path(&mut self, e: &Expr) -> Option<Poly> {
+    /// Classification and variable collection read the arena's
+    /// per-node metadata, and the sweep runs an [`EvalProgram`]
+    /// compiled straight from node ids. The recovered coefficients feed
+    /// the *same* [`Pipeline::expand_and_basis`] the truth-table route
+    /// uses, so the resulting polynomial is byte-identical to the slow
+    /// path's; any recovery failure (probe mismatch, too many
+    /// variables) falls back to it.
+    fn linear_fast_path(&mut self, root: NodeId) -> Option<Poly> {
         let config = self.simplifier.config();
         if !config.use_simba {
             return None;
@@ -145,44 +162,8 @@ impl<'a> Pipeline<'a> {
             return None;
         }
         simba::record_attempt();
-        if config.use_arena {
-            return self.linear_fast_path_arena(e);
-        }
-        if e.mba_class() != MbaClass::Linear {
-            return None;
-        }
-        let vars: Vec<Ident> = e.vars().into_iter().collect();
-        if vars.is_empty() || vars.len() > TruthTable::MAX_VARS {
-            return None;
-        }
-        let _t = self.simplifier.stages().simba.time();
-        let Some(mut coeffs) = simba::recover_coefficients(e, &vars, self.width()) else {
-            simba::record_fallback();
-            return None;
-        };
-        if config.injected_bug == Some(InjectedBug::SimbaCoeffFlip) {
-            // Zero the first nonzero recovered coefficient, *after* the
-            // recovery-time probe verification — the kind of silent
-            // post-check corruption the differential fuzzer must catch.
-            if let Some(c) = coeffs.iter_mut().find(|c| **c != 0) {
-                *c = 0;
-            }
-        }
-        simba::record_hit();
-        Some(self.expand_and_basis(&coeffs, &vars))
-    }
-
-    /// The arena-keyed twin of the linear fast path: the input is
-    /// interned once, classification and variable collection read the
-    /// precomputed per-node metadata, and the corner sweep runs over an
-    /// [`EvalProgram`] compiled straight from node ids.
-    /// [`EvalProgram::compile_arena`] emits the *same tape* as compiling
-    /// the extracted tree, so the recovered coefficients — and therefore
-    /// the rendered polynomial — are byte-identical to the tree route's.
-    fn linear_fast_path_arena(&mut self, e: &Expr) -> Option<Poly> {
-        let simplifier = self.simplifier;
-        let arena = simplifier.arena();
-        let root = self.stale_id(arena, arena.intern(e));
+        let arena = self.arena;
+        let root = self.stale_id(root);
         if arena.classify(root) != MbaClass::Linear {
             return None;
         }
@@ -190,7 +171,7 @@ impl<'a> Pipeline<'a> {
         if vars.is_empty() || vars.len() > TruthTable::MAX_VARS {
             return None;
         }
-        let _t = simplifier.stages().simba.time();
+        let _t = self.simplifier.stages().simba.time();
         let program = EvalProgram::compile_arena(arena, root);
         let Some(mut coeffs) =
             simba::recover_coefficients_program(&program, &vars, self.width())
@@ -198,9 +179,10 @@ impl<'a> Pipeline<'a> {
             simba::record_fallback();
             return None;
         };
-        if simplifier.config().injected_bug == Some(InjectedBug::SimbaCoeffFlip) {
-            // Same post-verification corruption as the tree route, so
-            // the fuzzer's SimbaCoeffFlip self-test is arena-agnostic.
+        if config.injected_bug == Some(InjectedBug::SimbaCoeffFlip) {
+            // Zero the first nonzero recovered coefficient, *after* the
+            // recovery-time probe verification — the kind of silent
+            // post-check corruption the differential fuzzer must catch.
             if let Some(c) = coeffs.iter_mut().find(|c| **c != 0) {
                 *c = 0;
             }
@@ -220,35 +202,28 @@ impl<'a> Pipeline<'a> {
     ///
     /// This tier is always on (not gated by `use_simba`) so toggling the
     /// linear fast path never changes output bytes.
-    fn semi_linear_path(&mut self, e: &Expr) -> Option<Poly> {
+    fn semi_linear_path(&mut self, root: NodeId) -> Option<Poly> {
         if !matches!(
             self.simplifier.config().basis,
             Basis::And | Basis::Adaptive
         ) {
             return None;
         }
-        // Classification and variable collection go through the arena's
-        // precomputed metadata when it is on; the id-level classifier is
-        // pinned equal to `Expr::mba_class`, and `ExprArena::vars`
-        // returns name order, matching the `BTreeSet` walk. The
-        // expansion itself stays tree-driven either way (its work is
-        // constant-grounding, not traversal).
-        let (class, vars) = if self.simplifier.config().use_arena {
-            let arena = self.simplifier.arena();
-            let root = arena.intern(e);
-            (arena.classify(root), arena.vars(root))
-        } else {
-            (e.mba_class(), e.vars().into_iter().collect())
-        };
-        if class != MbaClass::SemiLinear {
+        // Classification and variable collection read the arena's
+        // precomputed metadata. The expansion itself walks the tree (its
+        // work is constant-grounding, not traversal), so only a
+        // semi-linear input is extracted.
+        let arena = self.arena;
+        if arena.classify(root) != MbaClass::SemiLinear {
             return None;
         }
+        let vars = arena.vars(root);
         if vars.is_empty() || vars.len() > TruthTable::MAX_VARS {
             return None;
         }
         simba::record_semi_attempt();
         let _t = self.simplifier.stages().simba.time();
-        match self.expand_semi_linear(e, &vars) {
+        match self.expand_semi_linear(&arena.extract(root), &vars) {
             Some(p) => {
                 simba::record_semi_hit();
                 Some(p)
@@ -343,13 +318,13 @@ impl<'a> Pipeline<'a> {
 
     /// Lowers an arbitrary MBA expression to a polynomial over atoms.
     #[allow(clippy::wrong_self_convention)]
-    fn to_poly(&mut self, e: &Expr) -> Option<Poly> {
-        match e {
-            Expr::Const(c) => Some(Poly::constant(*c, self.width())),
-            Expr::Var(v) => Some(Poly::atom(Expr::Var(v.clone()), self.width())),
-            Expr::Unary(UnOp::Neg, a) => Some(self.to_poly(a)?.neg()),
-            Expr::Unary(UnOp::Not, _) => self.bitwise_to_poly(e),
-            Expr::Binary(op, a, b) => match op {
+    fn to_poly(&mut self, id: NodeId) -> Option<Poly> {
+        match self.arena.node(id) {
+            Node::Const(c) => Some(Poly::constant(c, self.width())),
+            Node::Var(_) => Some(Poly::atom(self.arena.extract(id), self.width())),
+            Node::Unary(UnOp::Neg, a) => Some(self.to_poly(a)?.neg()),
+            Node::Unary(UnOp::Not, _) => self.bitwise_to_poly(id),
+            Node::Binary(op, a, b) => match op {
                 BinOp::Add => Some(self.to_poly(a)?.add(&self.to_poly(b)?)),
                 BinOp::Sub => Some(self.to_poly(a)?.sub(&self.to_poly(b)?)),
                 BinOp::Mul => {
@@ -363,7 +338,7 @@ impl<'a> Pipeline<'a> {
                         }
                     }
                 }
-                BinOp::And | BinOp::Or | BinOp::Xor => self.bitwise_to_poly(e),
+                BinOp::And | BinOp::Or | BinOp::Xor => self.bitwise_to_poly(id),
             },
         }
     }
@@ -371,20 +346,25 @@ impl<'a> Pipeline<'a> {
     /// Lowers a bitwise-rooted subtree: abstract arithmetic children,
     /// take the signature of the remaining pure-bitwise skeleton, and
     /// expand it in the configured normalized basis.
-    fn bitwise_to_poly(&mut self, e: &Expr) -> Option<Poly> {
-        if self.simplifier.config().use_arena {
-            return self.bitwise_to_poly_arena(e);
-        }
-        let skeleton = self.skeleton(e);
-        let vars: Vec<Ident> = skeleton.vars().into_iter().collect();
+    ///
+    /// The skeleton is built as interned node ids (sharing every
+    /// subtree the arena has seen before, across expressions), and the
+    /// truth table is keyed by `(arena uid, generation, id)` in the
+    /// signature cache — no re-hash of the subtree per lookup.
+    fn bitwise_to_poly(&mut self, id: NodeId) -> Option<Poly> {
+        let simplifier = self.simplifier;
+        let arena = self.arena;
+        let skel = self.skeleton(id);
+        let skel = self.stale_id(skel);
+        let vars = arena.vars(skel);
         if vars.is_empty() {
             // Constant-only bitwise tree, e.g. ~0: evaluate directly.
-            let value = skeleton.eval(&mba_expr::Valuation::new(), self.width());
+            let value = self.eval_constant(skel);
             return Some(Poly::constant(self.signed_residue(value), self.width()));
         }
         if vars.len() > TruthTable::MAX_VARS {
             // Too wide for a truth table: the BDD tier, then opaque.
-            return Some(self.wide_bitwise(skeleton));
+            return Some(self.wide_bitwise(arena.extract(skel)));
         }
         // Truth-table extraction (the 2^t evaluation sweep) and the
         // basis re-expression below both memoize through the shared
@@ -392,49 +372,6 @@ impl<'a> Pipeline<'a> {
         // the same pure functions directly, so outputs never differ.
         // The signature span times the lookup-or-compute as one unit, so
         // its histogram shows the cache collapsing the sweep's cost.
-        let table: Arc<TruthTable> = {
-            let _t = self.simplifier.stages().signature.time();
-            if self.use_sig_cache() {
-                self.simplifier
-                    .sig_cache()
-                    .table_of(&skeleton, &vars)
-                    .expect("skeleton is pure bitwise by construction")
-            } else {
-                Arc::new(
-                    TruthTable::of(&skeleton, &vars)
-                        .expect("skeleton is pure bitwise by construction"),
-                )
-            }
-        };
-        Some(self.table_to_poly(&table, &vars))
-    }
-
-    /// The arena-keyed twin of [`Pipeline::bitwise_to_poly`]: the
-    /// skeleton is built as interned node ids (sharing every subtree the
-    /// arena has seen before, across expressions), and the truth table
-    /// is keyed by `(arena uid, generation, id)` in the signature cache
-    /// — no re-hash of the subtree per lookup.
-    /// [`TruthTable::of_arena`] compiles the identical tape the tree
-    /// route compiles, so tables — and output bytes — never differ.
-    fn bitwise_to_poly_arena(&mut self, e: &Expr) -> Option<Poly> {
-        let simplifier = self.simplifier;
-        let arena = simplifier.arena();
-        let skel = self.skeleton_id(arena, arena.intern(e));
-        let skel = self.stale_id(arena, skel);
-        let vars = arena.vars(skel);
-        if vars.is_empty() {
-            // Constant-only bitwise tree, e.g. ~0: evaluate directly.
-            let skeleton = arena.extract(skel);
-            let value = skeleton.eval(&mba_expr::Valuation::new(), self.width());
-            return Some(Poly::constant(self.signed_residue(value), self.width()));
-        }
-        if vars.len() > TruthTable::MAX_VARS {
-            // Too wide for a truth table: the BDD tier, then opaque.
-            // Extraction is the same expression the tree route's
-            // skeleton builds, so both routes feed the tier — and key
-            // its diagram — identically.
-            return Some(self.wide_bitwise(arena.extract(skel)));
-        }
         let table: Arc<TruthTable> = {
             let _t = simplifier.stages().signature.time();
             if self.use_sig_cache() {
@@ -571,64 +508,33 @@ impl<'a> Pipeline<'a> {
 
     /// Rebuilds a bitwise-rooted subtree with every non-bitwise child
     /// abstracted into a temporary variable.
-    fn skeleton(&mut self, e: &Expr) -> Expr {
-        match e {
-            Expr::Var(_) => e.clone(),
-            Expr::Const(0) | Expr::Const(-1) => e.clone(),
-            Expr::Unary(UnOp::Not, a) => Expr::unary(UnOp::Not, self.skeleton(a)),
+    fn skeleton(&mut self, id: NodeId) -> NodeId {
+        let arena = self.arena;
+        match arena.node(id) {
+            Node::Var(_) | Node::Const(0) | Node::Const(-1) => id,
+            Node::Unary(UnOp::Not, a) => {
+                let sa = self.skeleton(a);
+                arena.mk_unary(UnOp::Not, sa)
+            }
             // Arithmetic negation is opaque — except over a literal
             // chain folding to a bit-uniform constant (`-0`, `- -1`),
             // which `is_pure_bitwise` admits. The skeleton must admit
             // exactly the same constants: otherwise the truth-table
             // route sees an opaque temporary where the corner route
             // sees a constant, and the two routes' outputs diverge.
-            Expr::Unary(UnOp::Neg, _) => match e.as_literal() {
-                Some(0) => Expr::Const(0),
-                Some(-1) => Expr::Const(-1),
-                _ => self.temp_for(e),
-            },
-            Expr::Binary(op @ (BinOp::And | BinOp::Or | BinOp::Xor), a, b) => {
-                Expr::binary(*op, self.skeleton(a), self.skeleton(b))
-            }
-            // Anything else — arithmetic subtree or a non-uniform
-            // constant — becomes an opaque temporary.
-            other => self.temp_for(other),
-        }
-    }
-
-    /// [`Pipeline::skeleton`] over interned node ids. The case split —
-    /// and in particular the `-0` / `- -1` literal-chain folding the
-    /// negated-literal regression pinned — mirrors the tree walker
-    /// exactly, with `as_literal` answered by the arena's precomputed
-    /// per-node metadata instead of a chain walk. Opaque children are
-    /// extracted once to run through the same [`Pipeline::temp_for`]
-    /// (its dedup key is the *canonical form*, which is structural, so
-    /// the extracted copy keys identically), keeping temporary names and
-    /// order byte-identical to the tree route.
-    fn skeleton_id(&mut self, arena: &ExprArena, id: NodeId) -> NodeId {
-        match arena.node(id) {
-            Node::Var(_) | Node::Const(0) | Node::Const(-1) => id,
-            Node::Unary(UnOp::Not, a) => {
-                let sa = self.skeleton_id(arena, a);
-                arena.mk_unary(UnOp::Not, sa)
-            }
             Node::Unary(UnOp::Neg, _) => match arena.as_literal(id) {
                 Some(0) => arena.mk_const(0),
                 Some(-1) => arena.mk_const(-1),
-                _ => {
-                    let t = self.temp_for(&arena.extract(id));
-                    arena.intern(&t)
-                }
+                _ => self.temp_for(id),
             },
             Node::Binary(op @ (BinOp::And | BinOp::Or | BinOp::Xor), a, b) => {
-                let sa = self.skeleton_id(arena, a);
-                let sb = self.skeleton_id(arena, b);
+                let sa = self.skeleton(a);
+                let sb = self.skeleton(b);
                 arena.mk_binary(op, sa, sb)
             }
-            _ => {
-                let t = self.temp_for(&arena.extract(id));
-                arena.intern(&t)
-            }
+            // Anything else — arithmetic subtree or a non-uniform
+            // constant — becomes an opaque temporary.
+            _ => self.temp_for(id),
         }
     }
 
@@ -638,11 +544,11 @@ impl<'a> Pipeline<'a> {
     /// rewrite had invalidated. Leaves (no child to be stale against)
     /// pass through, so shrinking bottoms out at the smallest composite
     /// node. A no-op unless the bug is armed.
-    fn stale_id(&self, arena: &ExprArena, id: NodeId) -> NodeId {
+    fn stale_id(&self, id: NodeId) -> NodeId {
         if self.simplifier.config().injected_bug != Some(InjectedBug::ArenaStaleId) {
             return id;
         }
-        match arena.node(id) {
+        match self.arena.node(id) {
             Node::Unary(_, a) => a,
             Node::Binary(_, a, _) => a,
             Node::Const(_) | Node::Var(_) => id,
@@ -659,7 +565,8 @@ impl<'a> Pipeline<'a> {
     /// existing temporary (`E = ¬E' = −E'−1`) reuses it as `¬t'`, which
     /// lets e.g. `(A ⊕ B) − 2(¬A ∧ B)` collapse even when the two `A`
     /// copies diverged syntactically.
-    fn temp_for(&mut self, child: &Expr) -> Expr {
+    fn temp_for(&mut self, child: NodeId) -> NodeId {
+        let arena = self.arena;
         // Deduplication key: the *canonical* polynomial render of the
         // child, computed without the output-size heuristic. Two sites
         // that were obfuscated differently but denote the same
@@ -667,39 +574,41 @@ impl<'a> Pipeline<'a> {
         let (key, key_flags) = self.simplifier.canonical_form(child, self.depth + 1);
         self.absorb(key_flags);
         if let Some(name) = self.temp_map.get(&key) {
-            return Expr::Var(name.clone());
+            return arena.mk_var(name);
         }
         // Complement probe: a child whose canonical form matches an
         // existing temporary's complement (¬E = −E − 1) reuses it as
         // `¬t`, so e.g. `(A ⊕ B) − 2(¬A ∧ B)` collapses even when the
         // two `A` copies diverged syntactically.
-        let complement_input = Expr::binary(
+        let complement_input = arena.mk_binary(
             BinOp::Sub,
-            Expr::unary(UnOp::Neg, child.clone()),
-            Expr::one(),
+            arena.mk_unary(UnOp::Neg, child),
+            arena.mk_const(1),
         );
         let (complement_key, complement_flags) = self
             .simplifier
-            .canonical_form(&complement_input, self.depth + 1);
+            .canonical_form(complement_input, self.depth + 1);
         self.absorb(complement_flags);
         if let Some(name) = self.temp_map.get(&complement_key) {
-            return Expr::unary(UnOp::Not, Expr::Var(name.clone()));
+            return arena.mk_unary(UnOp::Not, arena.mk_var(name));
         }
         // The *replacement* substituted back into the output is the
         // best-scored simplification (plus the per-level FinalOptimize
         // of Algorithm 1), not the canonical render, which may be
         // larger.
-        let (mut simplified, child_flags) =
-            self.simplifier.simplify_round(child, self.depth + 1);
+        let (simplified, child_flags) = self.simplifier.simplify_round(child, self.depth + 1);
         self.absorb(child_flags);
-        if self.simplifier.config().final_step {
-            simplified = self.simplifier.final_step(&simplified);
-        }
+        let simplified = if self.simplifier.config().final_step {
+            self.simplifier.final_step(simplified)
+        } else {
+            arena.extract(simplified)
+        };
         let name = self.fresh_name();
         self.forbidden.insert(name.clone());
         self.temps.push((name.clone(), simplified));
-        self.temp_map.insert(key, name.clone());
-        Expr::Var(name)
+        let var = arena.mk_var(&name);
+        self.temp_map.insert(key, name);
+        var
     }
 
     fn fresh_name(&self) -> Ident {

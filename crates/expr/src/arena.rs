@@ -13,10 +13,10 @@
 //!   the *same node* as the `x & y` inside the next, so caches keyed
 //!   by id hit across expressions without re-hashing subtrees;
 //! * **precomputed per-node metadata** — structural hash, variable-set
-//!   bitmask, node count, pure-bitwise/bitwise-with-consts flags and
-//!   folded negated-literal value are computed once at intern time and
-//!   read back in O(1), replicating the [`Expr`] predicates bit for
-//!   bit;
+//!   bitmask, node count, MBA alternation, pure-bitwise/bitwise-with-
+//!   consts flags and folded negated-literal value are computed once at
+//!   intern time and read back in O(1), replicating the [`Expr`]
+//!   predicates bit for bit;
 //! * **cache-friendly layout** — nodes are `Copy` values in one `Vec`,
 //!   children are 4-byte indices, and a post-order over ids touches a
 //!   contiguous store instead of chasing heap boxes.
@@ -29,6 +29,9 @@
 //! [`ExprArena::generation`] (bumped by `clear`); caches that key on
 //! ids must key on `(uid, generation, id)` so a cleared-and-refilled
 //! arena can never satisfy a stale probe. See DESIGN.md §14.
+//! [`IdMap`] is the map type for such caches: ids are assigned by the
+//! arena, never chosen by a client, so it hashes them with a plain
+//! integer mix instead of std's keyed SipHash.
 //!
 //! Interning is lossless: `arena.extract(arena.intern(&e)) == e` for
 //! every expression, including arithmetic-negation chains over
@@ -36,6 +39,7 @@
 //! preserved node for node in the store.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -59,6 +63,32 @@ impl NodeId {
         self.0 as usize
     }
 }
+
+/// Hasher for arena-assigned ids: one splitmix64 round over the
+/// integer. Only for keys the arena hands out — a client cannot pick
+/// ids to collide, so std's keyed hashing buys nothing there. Keys that
+/// come from clients (expressions, identifiers) keep `RandomState`.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(n);
+    }
+}
+
+/// A hash map keyed by arena-assigned ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// One interned node. Children are ids, so a `Node` is a small `Copy`
 /// value regardless of subtree size; variables hold an index into the
@@ -96,6 +126,10 @@ struct NodeMeta {
     /// per occurrence, so it equals `extract(id).node_count()`
     /// (saturating).
     node_count: u64,
+    /// MBA alternation of the subtree, counted per occurrence like
+    /// `node_count`: equals [`crate::metrics::alternation`] of the extracted
+    /// tree (saturating).
+    alternation: u64,
     /// Bit `i` set iff identifier index `i` occurs in the subtree;
     /// meaningless when `FLAG_VAR_OVERFLOW` is set.
     var_mask: u64,
@@ -153,6 +187,17 @@ impl ArenaInner {
         &self.meta[id.index()]
     }
 
+    /// Whether `child`, as an operand of an operator in `domain`, makes
+    /// that operator an alternation ([`crate::metrics::alternation`]):
+    /// its own top operator is in the other domain. Leaves are in both.
+    fn connects(&self, domain: OpDomain, child: NodeId) -> bool {
+        match self.node(child) {
+            Node::Const(_) | Node::Var(_) => false,
+            Node::Unary(op, _) => op.domain() != domain,
+            Node::Binary(op, ..) => op.domain() != domain,
+        }
+    }
+
     /// The identifier behind a `Node::Var` index.
     pub(crate) fn ident(&self, i: u32) -> &Ident {
         &self.idents[i as usize]
@@ -197,6 +242,7 @@ impl ArenaInner {
             Node::Const(c) => NodeMeta {
                 hash: combine(0x10, mix64(c as u64), mix64((c >> 64) as u64)),
                 node_count: 1,
+                alternation: 0,
                 var_mask: 0,
                 flags: FLAG_BITWISE_WITH_CONSTS
                     | if c == 0 || c == -1 { FLAG_PURE_BITWISE } else { 0 },
@@ -205,6 +251,7 @@ impl ArenaInner {
             Node::Var(i) => NodeMeta {
                 hash: combine(0x20, mix64(i as u64), 0),
                 node_count: 1,
+                alternation: 0,
                 var_mask: if i < 64 { 1 << i } else { 0 },
                 flags: FLAG_PURE_BITWISE
                     | FLAG_BITWISE_WITH_CONSTS
@@ -230,6 +277,9 @@ impl ArenaInner {
                 NodeMeta {
                     hash: combine(0x30 + op as u64, child.hash, 0),
                     node_count: child.node_count.saturating_add(1),
+                    alternation: child
+                        .alternation
+                        .saturating_add(u64::from(self.connects(op.domain(), a))),
                     var_mask: child.var_mask,
                     flags: (child.flags & FLAG_VAR_OVERFLOW)
                         | if pure { FLAG_PURE_BITWISE } else { 0 }
@@ -243,9 +293,14 @@ impl ArenaInner {
                 let both = la.flags & lb.flags;
                 let pure = bitwise && both & FLAG_PURE_BITWISE != 0;
                 let bwc = bitwise && both & FLAG_BITWISE_WITH_CONSTS != 0;
+                let connects = self.connects(op.domain(), a) || self.connects(op.domain(), b);
                 NodeMeta {
                     hash: combine(0x40 + op as u64, la.hash, lb.hash),
                     node_count: la.node_count.saturating_add(lb.node_count).saturating_add(1),
+                    alternation: la
+                        .alternation
+                        .saturating_add(lb.alternation)
+                        .saturating_add(u64::from(connects)),
                     var_mask: la.var_mask | lb.var_mask,
                     flags: ((la.flags | lb.flags) & FLAG_VAR_OVERFLOW)
                         | if pure { FLAG_PURE_BITWISE } else { 0 }
@@ -553,19 +608,29 @@ impl ExprArena {
 
     /// Interns `op(a)` over an already-interned child.
     pub fn mk_unary(&self, op: UnOp, a: NodeId) -> NodeId {
-        let mut inner = self.inner.write();
-        debug_assert!(a.index() < inner.nodes.len(), "child id from this arena");
-        inner.intern_node(Node::Unary(op, a), &self.interned_hits)
+        self.mk_node(Node::Unary(op, a))
     }
 
     /// Interns `op(a, b)` over already-interned children.
     pub fn mk_binary(&self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
+        self.mk_node(Node::Binary(op, a, b))
+    }
+
+    /// Interns one node whose children (and, for [`Node::Var`], whose
+    /// identifier index) come from this arena's current generation.
+    pub fn mk_node(&self, node: Node) -> NodeId {
         let mut inner = self.inner.write();
         debug_assert!(
-            a.index() < inner.nodes.len() && b.index() < inner.nodes.len(),
-            "child ids from this arena"
+            match node {
+                Node::Const(_) => true,
+                Node::Var(i) => (i as usize) < inner.idents.len(),
+                Node::Unary(_, a) => a.index() < inner.nodes.len(),
+                Node::Binary(_, a, b) =>
+                    a.index() < inner.nodes.len() && b.index() < inner.nodes.len(),
+            },
+            "node refers to this arena"
         );
-        inner.intern_node(Node::Binary(op, a, b), &self.interned_hits)
+        inner.intern_node(node, &self.interned_hits)
     }
 
     /// Tree node count of the subtree (shared nodes counted once per
@@ -573,6 +638,13 @@ impl ExprArena {
     /// tree.
     pub fn node_count(&self, id: NodeId) -> usize {
         usize::try_from(self.inner.read().meta(id).node_count).unwrap_or(usize::MAX)
+    }
+
+    /// MBA alternation of the subtree (shared nodes counted once per
+    /// occurrence) — agrees with [`crate::metrics::alternation`] on the
+    /// extracted tree.
+    pub fn alternation(&self, id: NodeId) -> usize {
+        usize::try_from(self.inner.read().meta(id).alternation).unwrap_or(usize::MAX)
     }
 
     /// Precomputed structural hash of the subtree. Stable within a
@@ -728,6 +800,11 @@ mod tests {
             );
             assert_eq!(arena.as_literal(id), e.as_literal(), "`{src}`");
             assert_eq!(arena.node_count(id), e.node_count(), "`{src}`");
+            assert_eq!(
+                arena.alternation(id),
+                crate::metrics::alternation(&e),
+                "`{src}`"
+            );
             let vars: Vec<Ident> = e.vars().into_iter().collect();
             assert_eq!(arena.vars(id), vars, "`{src}`");
         }

@@ -39,7 +39,7 @@ mod printer;
 pub mod program;
 pub mod visit;
 
-pub use arena::{ArenaStats, ExprArena, NodeId};
+pub use arena::{ArenaStats, ExprArena, IdMap, NodeId};
 pub use ast::{BinOp, Expr, Ident, OpDomain, UnOp};
 pub use classify::MbaClass;
 pub use eval::{mask, UnboundVariableError, Valuation};

@@ -7,6 +7,7 @@
 //! one (so every downstream consumer — truth tables, corner signatures,
 //! coefficient recovery — inherits agreement for free).
 
+use mba_expr::metrics::alternation;
 use mba_expr::{BinOp, EvalProgram, Expr, ExprArena, UnOp, Valuation};
 use proptest::prelude::*;
 
@@ -68,6 +69,7 @@ proptest! {
         let arena = ExprArena::new();
         let id = arena.intern(&e);
         prop_assert_eq!(arena.node_count(id), e.node_count());
+        prop_assert_eq!(arena.alternation(id), alternation(&arena.extract(id)));
         prop_assert_eq!(arena.is_pure_bitwise(id), e.is_pure_bitwise());
         prop_assert_eq!(
             arena.is_bitwise_with_consts(id),

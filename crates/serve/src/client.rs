@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{json_escape, parse_json, Json};
+use crate::protocol::{json_escape, parse_json, with_newline, Json};
 
 /// One parsed response line.
 #[derive(Debug, Clone)]
@@ -112,8 +112,7 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.writer.write_all(&with_newline(line))?;
         self.writer.flush()
     }
 

@@ -259,6 +259,17 @@ pub struct Reply {
     pub cache_hit_rate: f64,
 }
 
+/// One protocol line and its terminating newline in one buffer, so a
+/// message leaves in a single `write`. Two small writes per message
+/// would let the second wait behind the first for the peer's delayed
+/// ACK (DESIGN.md §16).
+pub(crate) fn with_newline(line: &str) -> Vec<u8> {
+    let mut data = Vec::with_capacity(line.len() + 1);
+    data.extend_from_slice(line.as_bytes());
+    data.push(b'\n');
+    data
+}
+
 /// Renders a success line.
 pub fn render_reply(r: &Reply) -> String {
     format!(

@@ -56,7 +56,7 @@ use std::time::Duration;
 
 use mio::{Events, Interest, Poll, Token, Waker};
 
-use crate::protocol::{render_error, ErrorCode, ProtocolError};
+use crate::protocol::{render_error, with_newline, ErrorCode, ProtocolError};
 use crate::queue::BoundedQueue;
 use crate::server::{handle_line, write_line, Job, ServerConfig, ServerState};
 
@@ -131,10 +131,7 @@ impl ResponseSink {
         match self {
             ResponseSink::Blocking(writer) => {
                 let mut w = lock(writer);
-                let _ = w
-                    .write_all(line.as_bytes())
-                    .and_then(|()| w.write_all(b"\n"))
-                    .and_then(|()| w.flush());
+                let _ = w.write_all(&with_newline(line)).and_then(|()| w.flush());
             }
             ResponseSink::Reactor(handle) => handle.send_with(Arc::clone(handle), line),
         }
@@ -158,9 +155,7 @@ impl ConnHandle {
             pending.buf.extend(line.as_bytes());
             pending.buf.push_back(b'\n');
         } else {
-            let mut data = Vec::with_capacity(line.len() + 1);
-            data.extend_from_slice(line.as_bytes());
-            data.push(b'\n');
+            let data = with_newline(line);
             match write_some(&self.stream, &data, self.shared.write_chunk_limit) {
                 Ok(n) if n < data.len() => pending.buf.extend(&data[n..]),
                 Ok(_) => {}
@@ -188,8 +183,7 @@ impl ConnHandle {
             return;
         }
         let _ = (&self.stream)
-            .write_all(line.as_bytes())
-            .and_then(|()| (&self.stream).write_all(b"\n"))
+            .write_all(&with_newline(line))
             .and_then(|()| (&self.stream).flush());
     }
 }
@@ -341,6 +335,9 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // See DESIGN.md §16. Only latency depends on it, so
+                    // a socket that refuses the flag is still served.
+                    let _ = stream.set_nodelay(true);
                     let slot = self.free.pop().unwrap_or_else(|| {
                         self.slab.push(None);
                         self.slab.len() - 1

@@ -484,6 +484,11 @@ fn handle_connection(
     // Short read timeouts turn the blocking read into a poll loop on
     // the shutdown flag.
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    // Replies are small and often pipelined: without this, one written
+    // while the previous is unacknowledged waits for the client's
+    // delayed ACK (DESIGN.md §16). Only latency depends on it, so a
+    // socket that refuses the flag is still served.
+    let _ = stream.set_nodelay(true);
     let writer = ResponseSink::Blocking(Arc::new(Mutex::new(stream.try_clone()?)));
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();

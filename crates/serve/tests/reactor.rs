@@ -236,3 +236,48 @@ fn final_unterminated_line_is_served_after_eof() {
     shutdown(addr);
     handle.join().unwrap().unwrap();
 }
+
+/// Two requests written in one segment get two replies. The second
+/// reply is written while the first may still be unacknowledged; with
+/// Nagle's algorithm on the server socket it would wait for the
+/// client's delayed ACK (about 40 ms on Linux). Accepted sockets set
+/// `TCP_NODELAY` and each reply leaves in one `write`, so the pair
+/// round-trips in well under that, in both serving modes.
+#[test]
+fn pipelined_reply_pairs_are_not_held_for_delayed_acks() {
+    for mode in [ServeMode::Reactor, ServeMode::ThreadPerConnection] {
+        let (addr, handle) = spawn(ServerConfig {
+            mode,
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut pair_ms: Vec<f64> = (0..10u64)
+            .map(|i| {
+                let pair = format!(
+                    "{{\"id\":{},\"expr\":\"x ^ x\",\"width\":64}}\n\
+                     {{\"id\":{},\"expr\":\"x | x\",\"width\":64}}\n",
+                    2 * i,
+                    2 * i + 1
+                );
+                let start = std::time::Instant::now();
+                stream.write_all(pair.as_bytes()).expect("send pair");
+                for _ in 0..2 {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).expect("read reply");
+                    assert!(line.contains("\"simplified\""), "{mode:?}: {line}");
+                }
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        pair_ms.sort_by(f64::total_cmp);
+        let median = pair_ms[pair_ms.len() / 2];
+        assert!(
+            median < 20.0,
+            "{mode:?}: median pipelined pair took {median:.1} ms ({pair_ms:?})"
+        );
+        shutdown(addr);
+        handle.join().unwrap().unwrap();
+    }
+}

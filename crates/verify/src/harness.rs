@@ -3,13 +3,12 @@
 //! Each iteration generates one case (a pure function of
 //! `(seed, index)`), runs it through the simplifier's entry points —
 //! the shared cache-on path, a cache-off path, the batch path, and
-//! (when no bug is injected) a fast-path-off path, an arena-off path,
-//! a synthesis-off path, and a BDD-off path — and then interrogates
-//! the results:
+//! (when no bug is injected) a fast-path-off path, a synthesis-off
+//! path, and a BDD-off path — and then interrogates the results:
 //!
 //! * all outputs must be **byte-identical** (the PR-1 invariant:
-//!   caching, scheduling, the simba fast path, and the hash-consed
-//!   arena are not allowed to change results),
+//!   caching, scheduling, and the simba fast path are not allowed to
+//!   change results),
 //! * the output must be **equivalent to the input** per the tiered
 //!   [`EquivalenceOracle`],
 //! * for obfuscator cases the output must also agree with the known
@@ -50,9 +49,6 @@ pub enum SimplifyPath {
     /// Configuration with `use_simba: false` — the truth-table route,
     /// pinning the fast path's byte-identity contract.
     NoSimba,
-    /// Configuration with `use_arena: false` — the tree-walking route,
-    /// pinning the hash-consed arena's byte-identity contract.
-    NoArena,
     /// Configuration with `use_synthesis: false` — pinning the
     /// synthesis tier's contract that a *rejection* is byte-invisible
     /// (the comparison is skipped when the cached result's tier is
@@ -72,7 +68,6 @@ impl std::fmt::Display for SimplifyPath {
             SimplifyPath::Uncached => "uncached",
             SimplifyPath::Batch => "batch",
             SimplifyPath::NoSimba => "nosimba",
-            SimplifyPath::NoArena => "noarena",
             SimplifyPath::NoSynth => "nosynth",
             SimplifyPath::NoBdd => "nobdd",
         })
@@ -221,7 +216,6 @@ pub struct Fuzzer {
     cached: Simplifier,
     uncached: Simplifier,
     nosimba: Simplifier,
-    noarena: Simplifier,
     nosynth: Simplifier,
     nobdd: Simplifier,
 }
@@ -262,15 +256,6 @@ impl Fuzzer {
             Arc::new(SigCache::new()),
             Arc::clone(&obs),
         );
-        let noarena = Simplifier::with_metrics(
-            SimplifyConfig {
-                use_arena: false,
-                use_cache: true,
-                ..config.simplify.clone()
-            },
-            Arc::new(SigCache::new()),
-            Arc::clone(&obs),
-        );
         let nosynth = Simplifier::with_metrics(
             SimplifyConfig {
                 use_synthesis: false,
@@ -296,7 +281,6 @@ impl Fuzzer {
             cached,
             uncached,
             nosimba,
-            noarena,
             nosynth,
             nobdd,
         }
@@ -462,17 +446,6 @@ impl Fuzzer {
                     right: SimplifyPath::NoSimba,
                 },
             ))
-        } else if self.check_noarena()
-            && cached_out != self.noarena.simplify_detailed(&case.expr).output
-        {
-            Some((
-                case.clone(),
-                cached_out.clone(),
-                DiscrepancyKind::PathDivergence {
-                    left: SimplifyPath::Cached,
-                    right: SimplifyPath::NoArena,
-                },
-            ))
         } else if self.check_nosynth()
             && cached_tier != mba_solver::SimplifyTier::Synthesis
             && cached_out != self.nosynth.simplify_detailed(&case.expr).output
@@ -547,14 +520,6 @@ impl Fuzzer {
         self.config.simplify.injected_bug.is_none() && self.config.simplify.use_simba
     }
 
-    /// Whether the arena-off comparison runs. Same reasoning as
-    /// [`Fuzzer::check_nosimba`]: `ArenaStaleId` corrupts only the
-    /// arena route by design, and the oracle — not the differential
-    /// layer — must attribute it as unsoundness.
-    fn check_noarena(&self) -> bool {
-        self.config.simplify.injected_bug.is_none() && self.config.simplify.use_arena
-    }
-
     /// Whether the synthesis-off comparison runs. Same reasoning as
     /// [`Fuzzer::check_nosimba`]: `SynthUnsoundAccept` corrupts only
     /// the synthesis route by design. The caller additionally skips
@@ -605,7 +570,6 @@ impl Fuzzer {
                 let uncached = &self.uncached;
                 let simplify = self.config.simplify.clone();
                 let with_nosimba = self.check_nosimba();
-                let with_noarena = self.check_noarena();
                 let with_nosynth = self.check_nosynth();
                 let with_nobdd = self.check_nobdd();
                 Box::new(move |e: &Expr| {
@@ -632,16 +596,6 @@ impl Fuzzer {
                             ..simplify.clone()
                         });
                         if nosimba.simplify_detailed(e).output != a {
-                            return true;
-                        }
-                    }
-                    if with_noarena {
-                        let noarena = Simplifier::with_config(SimplifyConfig {
-                            use_arena: false,
-                            use_cache: true,
-                            ..simplify.clone()
-                        });
-                        if noarena.simplify_detailed(e).output != a {
                             return true;
                         }
                     }

@@ -76,7 +76,7 @@ fn simba_coeff_flip_is_caught_and_shrinks_to_three_nodes() {
 #[test]
 fn arena_stale_id_is_caught_and_shrinks_to_three_nodes() {
     // Swaps a freshly-interned id for its first child's inside the
-    // arena-keyed pipeline — the observable effect of an intern table
+    // pipeline — the observable effect of an intern table
     // returning an entry a rewrite had invalidated. Wrong on any
     // composite whose value differs from its first child's, so shrinking
     // bottoms out at the smallest composite node (e.g. `a + b` or `~a`).
