@@ -96,11 +96,11 @@ pub fn run_equivalence_checks(
     threads: usize,
 ) -> Vec<SolveRecord> {
     let next = AtomicUsize::new(0);
-    let mut records: Vec<SolveRecord> = crossbeam::thread::scope(|scope| {
+    let mut records: Vec<SolveRecord> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads.max(1))
             .map(|_| {
                 let next = &next;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let solver = SmtSolver::new(profile.clone());
                     let mut local = Vec::new();
                     loop {
@@ -129,8 +129,7 @@ pub fn run_equivalence_checks(
             .into_iter()
             .flat_map(|w| w.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("thread scope");
+    });
     records.sort_by_key(|r| r.sample_id);
     records
 }

@@ -9,13 +9,12 @@
 use std::cmp;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mba_expr::arena::Node;
 use mba_expr::{metrics, Expr, ExprArena, IdMap, MbaClass, Metrics, NodeId};
 use mba_obs::{Counter, Histogram, MetricsRegistry};
 use mba_sig::{catalog, linear_combination, CacheStats, SigCache, SignatureVector};
-use parking_lot::Mutex;
 
 use crate::pipeline::Pipeline;
 
@@ -815,8 +814,8 @@ impl Simplifier {
 
     /// Empties the lookup table and resets its counters.
     pub fn clear_cache(&self) {
-        self.cache.lock().clear();
-        self.canonical_cache.lock().clear();
+        lock(&self.cache).clear();
+        lock(&self.canonical_cache).clear();
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
     }
@@ -829,7 +828,7 @@ impl Simplifier {
         }
         let generation = self.arena.generation();
         if self.config.use_cache {
-            if let Some(hit) = self.cache.lock().get(generation, id) {
+            if let Some(hit) = lock(&self.cache).get(generation, id) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return hit;
             }
@@ -863,7 +862,7 @@ impl Simplifier {
             None => id,
         };
         if self.config.use_cache {
-            self.cache.lock().insert(generation, id, (result, flags));
+            lock(&self.cache).insert(generation, id, (result, flags));
         }
         (result, flags)
     }
@@ -878,7 +877,7 @@ impl Simplifier {
             return (id, RoundFlags::default());
         }
         let generation = self.arena.generation();
-        if let Some(hit) = self.canonical_cache.lock().get(generation, id) {
+        if let Some(hit) = lock(&self.canonical_cache).get(generation, id) {
             return hit;
         }
         let mut pipeline = Pipeline::new(self, id, depth);
@@ -895,9 +894,7 @@ impl Simplifier {
             used_bdd: pipeline.used_bdd,
             skipped_too_many_vars: pipeline.skipped_too_many_vars,
         };
-        self.canonical_cache
-            .lock()
-            .insert(generation, id, (out, flags));
+        lock(&self.canonical_cache).insert(generation, id, (out, flags));
         (out, flags)
     }
 
@@ -1138,6 +1135,14 @@ impl IdTable {
     fn clear(&mut self) {
         self.map.clear();
     }
+}
+
+/// Locks a look-up table even after a panic in another holder: every
+/// `IdTable` method leaves it consistent, and the server catches worker
+/// panics, so one panicking request must not poison the table for every
+/// later one.
+fn lock(table: &Mutex<IdTable>) -> MutexGuard<'_, IdTable> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -42,8 +42,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::{RwLock, RwLockReadGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::ast::{BinOp, Expr, Ident, OpDomain, UnOp};
 use crate::classify::MbaClass;
@@ -550,14 +549,14 @@ impl ExprArena {
     /// outstanding [`NodeId`]. The lifetime `interned_hits` counter is
     /// preserved.
     pub fn clear(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write_inner();
         *inner = ArenaInner::new();
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of interned nodes.
     pub fn len(&self) -> usize {
-        self.inner.read().nodes.len()
+        self.read_inner().nodes.len()
     }
 
     /// Whether the arena holds no nodes.
@@ -569,7 +568,7 @@ impl ExprArena {
     /// an id, structurally identical subtrees (within and across calls)
     /// get the *same* id.
     pub fn intern(&self, e: &Expr) -> NodeId {
-        self.inner.write().intern_expr(e, &self.interned_hits)
+        self.write_inner().intern_expr(e, &self.interned_hits)
     }
 
     /// Rebuilds the `Box`-tree expression for an id (the lossless
@@ -580,7 +579,7 @@ impl ExprArena {
     /// Panics if `id` was not produced by this arena's current
     /// generation.
     pub fn extract(&self, id: NodeId) -> Expr {
-        self.inner.read().extract(id)
+        self.read_inner().extract(id)
     }
 
     /// The interned node behind an id.
@@ -589,19 +588,18 @@ impl ExprArena {
     ///
     /// Panics if `id` is not from this arena's current generation.
     pub fn node(&self, id: NodeId) -> Node {
-        self.inner.read().node(id)
+        self.read_inner().node(id)
     }
 
     /// Interns a constant node.
     pub fn mk_const(&self, value: i128) -> NodeId {
-        self.inner
-            .write()
+        self.write_inner()
             .intern_node(Node::Const(value), &self.interned_hits)
     }
 
     /// Interns a variable node.
     pub fn mk_var(&self, name: &Ident) -> NodeId {
-        let mut inner = self.inner.write();
+        let mut inner = self.write_inner();
         let ident = inner.ident_id(name);
         inner.intern_node(Node::Var(ident), &self.interned_hits)
     }
@@ -619,7 +617,7 @@ impl ExprArena {
     /// Interns one node whose children (and, for [`Node::Var`], whose
     /// identifier index) come from this arena's current generation.
     pub fn mk_node(&self, node: Node) -> NodeId {
-        let mut inner = self.inner.write();
+        let mut inner = self.write_inner();
         debug_assert!(
             match node {
                 Node::Const(_) => true,
@@ -637,55 +635,55 @@ impl ExprArena {
     /// occurrence) — agrees with [`Expr::node_count`] on the extracted
     /// tree.
     pub fn node_count(&self, id: NodeId) -> usize {
-        usize::try_from(self.inner.read().meta(id).node_count).unwrap_or(usize::MAX)
+        usize::try_from(self.read_inner().meta(id).node_count).unwrap_or(usize::MAX)
     }
 
     /// MBA alternation of the subtree (shared nodes counted once per
     /// occurrence) — agrees with [`crate::metrics::alternation`] on the
     /// extracted tree.
     pub fn alternation(&self, id: NodeId) -> usize {
-        usize::try_from(self.inner.read().meta(id).alternation).unwrap_or(usize::MAX)
+        usize::try_from(self.read_inner().meta(id).alternation).unwrap_or(usize::MAX)
     }
 
     /// Precomputed structural hash of the subtree. Stable within a
     /// process run; equal ids always have equal hashes.
     pub fn structural_hash(&self, id: NodeId) -> u64 {
-        self.inner.read().meta(id).hash
+        self.read_inner().meta(id).hash
     }
 
     /// O(1) [`Expr::is_pure_bitwise`] from the precomputed flags.
     pub fn is_pure_bitwise(&self, id: NodeId) -> bool {
-        self.inner.read().meta(id).flags & FLAG_PURE_BITWISE != 0
+        self.read_inner().meta(id).flags & FLAG_PURE_BITWISE != 0
     }
 
     /// O(1) [`Expr::is_bitwise_with_consts`] from the precomputed
     /// flags.
     pub fn is_bitwise_with_consts(&self, id: NodeId) -> bool {
-        self.inner.read().meta(id).flags & FLAG_BITWISE_WITH_CONSTS != 0
+        self.read_inner().meta(id).flags & FLAG_BITWISE_WITH_CONSTS != 0
     }
 
     /// O(1) [`Expr::as_literal`]: the folded constant when the subtree
     /// is a literal under a chain of unary minuses.
     pub fn as_literal(&self, id: NodeId) -> Option<i128> {
-        self.inner.read().meta(id).literal
+        self.read_inner().meta(id).literal
     }
 
     /// Variables of the subtree, sorted by name (same order as
     /// [`Expr::vars`]). O(vars) via the precomputed bitmask for up to
     /// 64 distinct identifiers, O(subtree) beyond.
     pub fn vars(&self, id: NodeId) -> Vec<Ident> {
-        self.inner.read().vars_of(id)
+        self.read_inner().vars_of(id)
     }
 
     /// Id-level classification; agrees with [`Expr::mba_class`] on the
     /// extracted tree.
     pub fn classify(&self, id: NodeId) -> MbaClass {
-        self.inner.read().classify(id)
+        self.read_inner().classify(id)
     }
 
     /// Snapshot of size and interning counters.
     pub fn stats(&self) -> ArenaStats {
-        let inner = self.inner.read();
+        let inner = self.read_inner();
         ArenaStats {
             nodes: inner.nodes.len() as u64,
             idents: inner.idents.len() as u64,
@@ -698,8 +696,18 @@ impl ExprArena {
     /// Read access for in-crate id consumers
     /// ([`crate::program::EvalProgram::compile_arena`]) that need one
     /// consistent view across many node reads.
+    ///
+    /// Both guards survive a panic in another holder: an intern computes
+    /// a node's metadata before it pushes the node, the metadata and the
+    /// index entry, so the store is consistent wherever a panic can stop
+    /// it; and the server catches worker panics, so one panicking
+    /// request must not poison the arena for every later one.
     pub(crate) fn read_inner(&self) -> RwLockReadGuard<'_, ArenaInner> {
-        self.inner.read()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_inner(&self) -> RwLockWriteGuard<'_, ArenaInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -4,9 +4,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// An interned variable name.
 ///
 /// Cloning an `Ident` is a reference-count bump; comparisons fall back to
@@ -58,24 +55,8 @@ impl AsRef<str> for Ident {
     }
 }
 
-impl Serialize for Ident {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.0)
-    }
-}
-
-impl<'de> Deserialize<'de> for Ident {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        if s.is_empty() {
-            return Err(D::Error::custom("identifier must be non-empty"));
-        }
-        Ok(Ident::from(s))
-    }
-}
-
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UnOp {
     /// Arithmetic negation `-e` (two's complement).
     Neg,
@@ -85,7 +66,7 @@ pub enum UnOp {
 
 /// Binary operators. The set is exactly the paper's
 /// `∧ ∨ ⊕ + − ×` (plus unary `¬`/`-` in [`UnOp`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BinOp {
     /// Wrapping addition `+`.
     Add,
@@ -149,7 +130,7 @@ impl UnOp {
 /// Whether an operator belongs to the arithmetic world (`+ − ×` and unary
 /// minus) or the bitwise world (`∧ ∨ ⊕ ¬`). The paper's *MBA alternation*
 /// metric counts operators whose operands come from the opposite domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpDomain {
     /// `+`, `-`, `*`, unary `-`.
     Arithmetic,
@@ -175,7 +156,7 @@ pub enum OpDomain {
 /// let e = (x.clone() | y.clone()) + (!x | y.clone()) - !Expr::var("x");
 /// assert_eq!(e.to_string(), "(x|y)+(~x|y)-~x");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Expr {
     /// An integer constant, interpreted modulo `2^w`.
     Const(i128),

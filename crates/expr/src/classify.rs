@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{BinOp, Expr, UnOp};
 
 /// The category of an MBA expression.
@@ -14,7 +12,7 @@ use crate::ast::{BinOp, Expr, UnOp};
 /// *non-linear* polynomial MBA ("poly MBA"); linear expressions are
 /// reported as [`MbaClass::Linear`] even though they satisfy Definition 2
 /// as well.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MbaClass {
     /// `Σ aᵢ·eᵢ` with each `eᵢ` a pure bitwise expression (Definition 1).
     Linear,

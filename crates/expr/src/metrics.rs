@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::{Expr, OpDomain};
 use crate::classify::{classify, decompose_term, flatten_sum, MbaClass};
 
@@ -17,7 +15,7 @@ use crate::classify::{classify, decompose_term, flatten_sum, MbaClass};
 /// assert_eq!(m.num_terms, 5);
 /// assert_eq!(m.max_coefficient, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Metrics {
     /// MBA type: linear, poly, or non-poly.
     pub class: MbaClass,

@@ -1,6 +1,6 @@
 //! The workspace's hand-rolled JSON value layer.
 //!
-//! The build environment is offline (no serde_json), and three
+//! The build environment is offline (no JSON crate), and three
 //! subsystems need to *read* JSON — the serving layer's wire protocol,
 //! the bench-report round-trip tests, and the CI telemetry validator —
 //! so the small recursive-descent parser lives here, in the

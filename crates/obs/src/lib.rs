@@ -33,7 +33,7 @@
 //! The [`json`] module carries the workspace's hand-rolled JSON value
 //! parser (shared with `mba-serve`'s wire protocol and the bench
 //! report validators); the build environment is offline, so there is
-//! no serde_json to lean on.
+//! no JSON crate to lean on.
 //!
 //! # Metric naming scheme
 //!

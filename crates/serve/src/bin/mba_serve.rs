@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mba_serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-//!           [--max-line-bytes N] [--no-synthesis] [--thread-io]
+//!           [--max-line-bytes N] [--no-synthesis]
 //!           [--cache-budget N] [--cache-snapshot PATH]
 //! ```
 //!
@@ -10,20 +10,17 @@
 //! resolved), serves until a `{"control":"shutdown"}` request, drains
 //! in-flight work, and exits 0.
 //!
-//! Connection I/O defaults to the epoll reactor; `--thread-io` selects
-//! the thread-per-connection fallback. `--cache-budget N` caps the
-//! signature cache at N entries (0 disables eviction); `--cache-snapshot
-//! PATH` warm-starts the cache from PATH at bind and writes it back on
-//! shutdown.
+//! `--cache-budget N` caps the signature cache at N entries (0 disables
+//! eviction); `--cache-snapshot PATH` warm-starts the cache from PATH at
+//! bind and writes it back on shutdown.
 
 use std::process::ExitCode;
 
-use mba_serve::{ServeMode, Server, ServerConfig};
+use mba_serve::{Server, ServerConfig};
 
 fn usage() -> String {
     "usage: mba_serve [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-     [--max-line-bytes N] [--no-synthesis] [--thread-io] [--cache-budget N] \
-     [--cache-snapshot PATH]"
+     [--max-line-bytes N] [--no-synthesis] [--cache-budget N] [--cache-snapshot PATH]"
         .to_string()
 }
 
@@ -55,7 +52,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 }
             }
             "--no-synthesis" => config.use_synthesis = false,
-            "--thread-io" => config.mode = ServeMode::ThreadPerConnection,
             "--cache-budget" => {
                 let budget: usize = parse_num(take("--cache-budget")?)?;
                 config.cache_budget = (budget > 0).then_some(budget);

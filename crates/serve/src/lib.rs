@@ -15,11 +15,9 @@
 //!   parser/renderer it rides on;
 //! * [`queue`] — the bounded MPMC queue whose `try_push` failure *is*
 //!   the `overloaded` response;
-//! * [`server`] — acceptor, connection I/O (reactor or
-//!   thread-per-connection, see [`server::ServeMode`]), and the worker
+//! * [`server`] — configuration, request dispatch, and the worker
 //!   pool;
-//! * [`reactor`] — the epoll event loop behind the default serving
-//!   mode;
+//! * [`reactor`] — the epoll event loop that drives every connection;
 //! * [`client`] — a blocking protocol client.
 //!
 //! Binaries: `mba_serve` (the server) and `mba_loadgen` (replays a
@@ -55,4 +53,4 @@ pub use protocol::{
     Request, MAX_LINE_BYTES,
 };
 pub use queue::{BoundedQueue, PushError};
-pub use server::{ServeMode, Server, ServerConfig, ServerState, DEFAULT_CACHE_BUDGET};
+pub use server::{Server, ServerConfig, ServerState, DEFAULT_CACHE_BUDGET};

@@ -38,7 +38,7 @@
 //! rather than unwrapping it. A thread that panics *while holding the
 //! queue mutex* (a popper dying between `lock()` and the guard drop,
 //! say) used to poison it, and every later `try_push`/`pop`/`len`/
-//! `close` — acceptor, readers, and the rest of the worker pool —
+//! `close` — the reactor and the rest of the worker pool —
 //! would then panic in a cascade that no per-job `catch_unwind`
 //! downstream could contain. The queue's state is a `VecDeque` plus a
 //! `bool`; every mutation (push_back / pop_front / `closed = true`) is
@@ -224,7 +224,7 @@ mod tests {
     fn poisoned_lock_keeps_serving() {
         // Regression: a popper panicking while holding the queue mutex
         // used to poison it, cascading panics into every later queue
-        // call from acceptor, readers, and the remaining worker pool.
+        // call from the reactor and the remaining worker pool.
         let q = Arc::new(BoundedQueue::new(8));
         q.try_push(1).unwrap();
         let poisoner = {

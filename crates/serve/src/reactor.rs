@@ -1,8 +1,7 @@
-//! The event-driven serving mode: one reactor thread drives a
-//! nonblocking listener and every connection's read/write state machine
-//! through an epoll event loop (the `mio` shim), while the worker pool
-//! and bounded queue stay exactly as they are in thread mode — the
-//! backpressure boundary does not move.
+//! The server's event loop: one reactor thread drives a nonblocking
+//! listener and every connection's read/write state machine through
+//! epoll (the `mio` shim), and hands complete request lines to the
+//! worker pool through the bounded queue — the backpressure boundary.
 //!
 //! # Connection state machine
 //!
@@ -25,8 +24,7 @@
 //!
 //! * **Partial lines** accumulate in a per-connection buffer across
 //!   reads; the 64KiB cap is enforced mid-stream — a newline-less flood
-//!   is answered once and discarded up to the next newline, exactly
-//!   like thread mode.
+//!   is answered once and discarded up to the next newline.
 //! * **Write interest is registered only while bytes are pending.**
 //!   Responses are written directly (from the worker thread or the
 //!   reactor); only the unwritten remainder lands in the connection's
@@ -45,7 +43,7 @@
 //! reactor, which answers any leftover jobs with `shutting_down`,
 //! flushes every pending buffer (switching the sockets back to blocking
 //! writes with a timeout), and only then acknowledges the shutdown
-//! callers — the same drain-then-ack contract as thread mode.
+//! callers.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -56,9 +54,9 @@ use std::time::Duration;
 
 use mio::{Events, Interest, Poll, Token, Waker};
 
-use crate::protocol::{render_error, with_newline, ErrorCode, ProtocolError};
+use crate::protocol::{render_error, render_ok, with_newline, ErrorCode, ProtocolError};
 use crate::queue::BoundedQueue;
-use crate::server::{handle_line, write_line, Job, ServerConfig, ServerState};
+use crate::server::{handle_line, Job, ServerConfig, ServerState};
 
 /// Token of the listening socket.
 const LISTENER: Token = Token(0);
@@ -110,43 +108,17 @@ struct Pending {
     /// Bytes accepted but not yet written, in order.
     buf: VecDeque<u8>,
     /// A hard write error was seen; all further output is dropped (the
-    /// client is gone — same policy as thread mode's ignored errors).
+    /// client is gone).
     dead: bool,
-}
-
-/// Where a response to one request goes: a blocking per-connection
-/// stream (thread mode) or a reactor connection's pending buffer.
-#[derive(Clone)]
-pub(crate) enum ResponseSink {
-    /// Thread mode: the shared blocking writer.
-    Blocking(Arc<Mutex<TcpStream>>),
-    /// Reactor mode: the connection's outgoing half.
-    Reactor(Arc<ConnHandle>),
-}
-
-impl ResponseSink {
-    /// Writes one response line (appending the newline). Errors mean
-    /// the client is gone; the server does not care.
-    pub(crate) fn send(&self, line: &str) {
-        match self {
-            ResponseSink::Blocking(writer) => {
-                let mut w = lock(writer);
-                let _ = w.write_all(&with_newline(line)).and_then(|()| w.flush());
-            }
-            ResponseSink::Reactor(handle) => handle.send_with(Arc::clone(handle), line),
-        }
-    }
 }
 
 impl ConnHandle {
     /// Queues one response line (appending the newline), writing as
     /// much as the socket takes right now. Called from worker threads
     /// and from the reactor itself; the pending mutex makes the bytes
-    /// of concurrent responses atomic on the wire. `this` is the same
-    /// handle's `Arc`, threaded through so the dirty list can hold a
-    /// real clone.
-    fn send_with(&self, this: Arc<ConnHandle>, line: &str) {
-        debug_assert!(std::ptr::eq(self, Arc::as_ptr(&this)));
+    /// of concurrent responses atomic on the wire. Errors mean the
+    /// client is gone; the server does not care.
+    pub(crate) fn send(self: &Arc<Self>, line: &str) {
         let mut pending = lock(&self.pending);
         if pending.dead {
             return;
@@ -168,7 +140,7 @@ impl ConnHandle {
         let has_pending = !pending.buf.is_empty();
         drop(pending);
         if has_pending {
-            lock(&self.shared.dirty).push(this);
+            lock(&self.shared.dirty).push(Arc::clone(self));
             let _ = self.shared.waker.wake();
         }
     }
@@ -234,7 +206,7 @@ struct Conn {
 }
 
 /// The reactor: owns the slab, the poll, and the serving loop.
-struct Reactor {
+pub(crate) struct Reactor {
     poll: Poll,
     listener: TcpListener,
     slab: Vec<Option<Conn>>,
@@ -251,49 +223,55 @@ struct Reactor {
     workers_done: Arc<AtomicBool>,
 }
 
-/// Runs the reactor serving loop to completion. The caller (thread
-/// mode's twin of `Server::run`) has already bound the listener and
-/// spawned the workers.
-///
-/// # Errors
-///
-/// Propagates reactor-infrastructure failures (epoll/eventfd creation);
-/// per-connection errors are contained.
-pub(crate) fn run(
-    listener: TcpListener,
-    config: &ServerConfig,
-    state: Arc<ServerState>,
-    queue: Arc<BoundedQueue<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let poll = Poll::new()?;
-    poll.registry()
-        .register(&listener, LISTENER, Interest::READABLE)?;
-    let waker = Waker::new(poll.registry(), WAKER)?;
-    let shared = Arc::new(ReactorShared {
-        waker,
-        dirty: Mutex::new(Vec::new()),
-        write_chunk_limit: config.write_chunk_limit,
-    });
-    let mut reactor = Reactor {
-        poll,
-        listener,
-        slab: Vec::new(),
-        free: Vec::new(),
-        parked: Vec::new(),
-        shared,
-        state,
-        queue,
-        max_line_bytes: config.max_line_bytes,
-        draining: false,
-        workers_done: Arc::new(AtomicBool::new(false)),
-    };
-    reactor.serve(workers)
-}
-
 impl Reactor {
-    fn serve(&mut self, workers: Vec<std::thread::JoinHandle<()>>) -> std::io::Result<()> {
+    /// Registers the listener with a new event loop. The caller then
+    /// starts the workers and hands them to [`Reactor::serve`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates reactor-infrastructure failures (epoll/eventfd
+    /// creation, `Unsupported` without an epoll backend).
+    pub(crate) fn new(
+        listener: TcpListener,
+        config: &ServerConfig,
+        state: Arc<ServerState>,
+        queue: Arc<BoundedQueue<Job>>,
+    ) -> std::io::Result<Reactor> {
+        listener.set_nonblocking(true)?;
+        let poll = Poll::new()?;
+        poll.registry()
+            .register(&listener, LISTENER, Interest::READABLE)?;
+        let waker = Waker::new(poll.registry(), WAKER)?;
+        let shared = Arc::new(ReactorShared {
+            waker,
+            dirty: Mutex::new(Vec::new()),
+            write_chunk_limit: config.write_chunk_limit,
+        });
+        Ok(Reactor {
+            poll,
+            listener,
+            slab: Vec::new(),
+            free: Vec::new(),
+            parked: Vec::new(),
+            shared,
+            state,
+            queue,
+            max_line_bytes: config.max_line_bytes,
+            draining: false,
+            workers_done: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
+    /// Runs the serving loop to completion: serves until shutdown, then
+    /// drains `workers` and acknowledges.
+    ///
+    /// # Errors
+    ///
+    /// Propagates poll failures; per-connection errors are contained.
+    pub(crate) fn serve(
+        &mut self,
+        workers: Vec<std::thread::JoinHandle<()>>,
+    ) -> std::io::Result<()> {
         let mut workers = Some(workers);
         let mut events = Events::with_capacity(EVENTS_PER_POLL);
         loop {
@@ -503,10 +481,7 @@ impl Reactor {
                 if saw_eof && !conn.read_buf.is_empty() && !conn.discarding && !shutdown {
                     // Final unterminated line: still a request.
                     let raw = std::mem::take(&mut conn.read_buf);
-                    let sink = ResponseSink::Reactor(Arc::clone(&conn.handle));
-                    if handle_line(&raw, &self.state, &self.queue, &sink) {
-                        self.state.begin_shutdown();
-                    }
+                    handle_line(&raw, &self.state, &self.queue, &conn.handle);
                 }
             }
             if let Some(conn) = &mut self.slab[slot] {
@@ -522,7 +497,7 @@ impl Reactor {
 
     /// Scans the accumulated buffer for complete lines and dispatches
     /// them. Returns `true` when a shutdown request was handled (the
-    /// rest of the buffer is discarded, matching thread mode).
+    /// rest of the buffer is discarded).
     fn process_lines(&mut self, slot: usize) -> bool {
         loop {
             let Some(conn) = &mut self.slab[slot] else { return false };
@@ -540,13 +515,11 @@ impl Reactor {
                         continue;
                     }
                     if line.len() > self.max_line_bytes {
-                        let sink = ResponseSink::Reactor(Arc::clone(&conn.handle));
-                        self.reject_oversized(&sink);
+                        let handle = Arc::clone(&conn.handle);
+                        self.reject_oversized(&handle);
                         continue;
                     }
-                    let sink = ResponseSink::Reactor(Arc::clone(&conn.handle));
-                    if handle_line(&line, &self.state, &self.queue, &sink) {
-                        self.state.begin_shutdown();
+                    if handle_line(&line, &self.state, &self.queue, &conn.handle) {
                         return true;
                     }
                 }
@@ -555,8 +528,8 @@ impl Reactor {
                     if !conn.discarding && conn.read_buf.len() > self.max_line_bytes {
                         // Mid-stream cap: answer once, drop until the
                         // next newline resyncs the stream.
-                        let sink = ResponseSink::Reactor(Arc::clone(&conn.handle));
-                        self.reject_oversized(&sink);
+                        let handle = Arc::clone(&conn.handle);
+                        self.reject_oversized(&handle);
                         let Some(conn) = &mut self.slab[slot] else { return false };
                         conn.discarding = true;
                         conn.read_buf.clear();
@@ -568,16 +541,13 @@ impl Reactor {
         }
     }
 
-    fn reject_oversized(&self, sink: &ResponseSink) {
+    fn reject_oversized(&self, handle: &Arc<ConnHandle>) {
         self.state.counters.protocol_errors.inc();
-        write_line(
-            sink,
-            &render_error(&ProtocolError::new(
-                None,
-                ErrorCode::Invalid,
-                format!("line exceeds {} bytes", self.max_line_bytes),
-            )),
-        );
+        handle.send(&render_error(&ProtocolError::new(
+            None,
+            ErrorCode::Invalid,
+            format!("line exceeds {} bytes", self.max_line_bytes),
+        )));
     }
 
     /// Registers newly-dirty connections (worker responses that did not
@@ -667,14 +637,11 @@ impl Reactor {
     /// pending buffer with blocking writes, and acknowledge shutdown.
     fn finish_drain(&mut self) {
         while let Some((job, _)) = self.queue.pop() {
-            write_line(
-                &job.writer,
-                &render_error(&ProtocolError::new(
-                    Some(job.request.id),
-                    ErrorCode::ShuttingDown,
-                    "server is draining",
-                )),
-            );
+            job.writer.send(&render_error(&ProtocolError::new(
+                Some(job.request.id),
+                ErrorCode::ShuttingDown,
+                "server is draining",
+            )));
         }
         // Final flush: switch the sockets back to blocking (with a
         // timeout so one dead client cannot wedge shutdown) and drain
@@ -705,16 +672,12 @@ impl Reactor {
         }
         let ackers = std::mem::take(&mut *lock(self.state.ackers()));
         let drained = self.state.counters.served.get();
-        for (id, sink) in ackers {
-            let ack = crate::protocol::render_ok(
+        for (id, handle) in ackers {
+            handle.send_final(&render_ok(
                 "shutdown",
                 id,
                 &[("served".into(), drained.to_string())],
-            );
-            match &sink {
-                ResponseSink::Reactor(handle) => handle.send_final(&ack),
-                ResponseSink::Blocking(_) => write_line(&sink, &ack),
-            }
+            ));
         }
     }
 }

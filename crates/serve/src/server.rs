@@ -1,41 +1,33 @@
 //! The resident simplification server.
 //!
-//! Two serving modes share the protocol, queue, and worker pool; they
-//! differ only in how connection I/O is driven (see
-//! [`ServeMode`]):
-//!
-//! * **Reactor** (default on Linux): one event-loop thread drives a
-//!   nonblocking listener and every connection through epoll — see
-//!   [`crate::reactor`]. This is the production-scale mode: ten
-//!   thousand connections cost ten thousand slab slots, not ten
-//!   thousand stacks.
-//! * **Thread-per-connection**: one blocking reader thread per
-//!   connection with short read timeouts (the original architecture,
-//!   kept as the portable fallback and as a differential oracle — both
-//!   modes must produce byte-identical responses).
+//! One reactor thread drives a nonblocking listener and every
+//! connection through epoll (see [`crate::reactor`]), so ten thousand
+//! connections cost ten thousand slab slots, not ten thousand stacks.
+//! Complete request lines go to a bounded queue that a worker pool
+//! drains.
 //!
 //! ```text
-//!             ┌─────────────┐  accept   ┌─────────────────────┐
-//!  clients ──▶│ acceptor /  │──────────▶│ reader thread (1/conn)│
-//!             │ reactor loop│           │ or reactor state machine│
-//!             └─────────────┘           └────────┬────────────┘
-//!                                                │ try_push (never blocks)
-//!                                       ┌────────▼─────────┐
-//!                                       │  BoundedQueue    │──full──▶ {"error":"overloaded"}
-//!                                       └────────┬─────────┘
-//!                                                │ pop
-//!                                       ┌────────▼─────────┐
-//!                                       │   worker pool    │ shares one Arc<SigCache>
-//!                                       └────────┬─────────┘
-//!                                                │ ResponseSink (write mutex or
-//!                                                ▼  reactor pending buffer)
-//!                                     responses (any order, matched by id)
+//!             ┌─────────────┐  readable  ┌──────────────────────────┐
+//!  clients ──▶│ reactor loop│───────────▶│ per-connection state     │
+//!             └─────────────┘            │ machine (partial lines)  │
+//!                                        └────────┬─────────────────┘
+//!                                                 │ try_push (never blocks)
+//!                                        ┌────────▼─────────┐
+//!                                        │  BoundedQueue    │──full──▶ {"error":"overloaded"}
+//!                                        └────────┬─────────┘
+//!                                                 │ pop
+//!                                        ┌────────▼─────────┐
+//!                                        │   worker pool    │ shares one Arc<SigCache>
+//!                                        └────────┬─────────┘
+//!                                                 │ ConnHandle (direct write,
+//!                                                 ▼  remainder to reactor)
+//!                                      responses (any order, matched by id)
 //! ```
 //!
-//! **Backpressure.** Readers enqueue with [`BoundedQueue::try_push`];
-//! a full queue is answered immediately with an `overloaded` error —
-//! the server sheds load instead of queueing unboundedly, and stays
-//! live for later requests.
+//! **Backpressure.** Complete lines are enqueued with
+//! [`BoundedQueue::try_push`]; a full queue is answered immediately
+//! with an `overloaded` error — the server sheds load instead of
+//! queueing unboundedly, and stays live for later requests.
 //!
 //! **Deadlines.** A request carrying `deadline_ms` is checked against
 //! its arrival time when a worker dequeues it and again after
@@ -45,15 +37,17 @@
 //! deadline bounds *useful* work, not worst-case occupancy.
 //!
 //! **Graceful shutdown.** A `{"control":"shutdown"}` request flips the
-//! shutdown flag; the acceptor stops (unblocked by a loopback
-//! self-connection), readers wind down at their next read-timeout tick,
-//! the queue closes and workers drain the backlog, every in-flight
-//! response is flushed, and only then is the shutdown acknowledged and
-//! the process free to exit 0.
+//! shutdown flag; the reactor stops accepting and reading, the queue
+//! closes and workers drain the backlog, every in-flight response is
+//! flushed, and only then is the shutdown acknowledged and the process
+//! free to exit 0.
+//!
+//! **Platforms.** The event loop needs epoll. Elsewhere the `mio` shim's
+//! constructors fail, and [`Server::run`] returns that `Unsupported`
+//! error before it starts any thread.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -68,33 +62,7 @@ use crate::protocol::{
     ProtocolError, Reply, Request, MAX_LINE_BYTES,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::reactor::{self, ResponseSink};
-
-/// How often blocked readers and the acceptor re-check the shutdown
-/// flag. Bounds shutdown latency, not request latency.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// How connection I/O is driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One event-loop thread drives all connections through epoll.
-    /// Scales to tens of thousands of concurrent connections.
-    Reactor,
-    /// One blocking reader thread per connection. Portable everywhere
-    /// `std::net` works; thread cost caps realistic concurrency.
-    ThreadPerConnection,
-}
-
-impl Default for ServeMode {
-    /// Reactor wherever the epoll backend exists, threads elsewhere.
-    fn default() -> Self {
-        if mio::backend_available() {
-            ServeMode::Reactor
-        } else {
-            ServeMode::ThreadPerConnection
-        }
-    }
-}
+use crate::reactor::{ConnHandle, Reactor};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -116,8 +84,6 @@ pub struct ServerConfig {
     /// tier on residual expressions. On by default; `--no-synthesis`
     /// turns it off for latency-sensitive deployments.
     pub use_synthesis: bool,
-    /// Connection I/O mode; defaults to the reactor where available.
-    pub mode: ServeMode,
     /// Signature-cache entry budget; `None` disables eviction. The
     /// default bounds resident cache memory so a long-lived server
     /// cannot grow without limit under an adversarial key stream.
@@ -125,9 +91,9 @@ pub struct ServerConfig {
     /// Signature-cache snapshot path: loaded (if present) at bind for a
     /// warm start, written back when the server drains.
     pub cache_snapshot: Option<PathBuf>,
-    /// Test-only cap on bytes per socket `write` in reactor mode, to
-    /// deterministically exercise multi-write response flushes. Always
-    /// `None` in production configurations.
+    /// Test-only cap on bytes per socket `write`, to deterministically
+    /// exercise multi-write response flushes. Always `None` in
+    /// production configurations.
     pub write_chunk_limit: Option<usize>,
 }
 
@@ -140,7 +106,6 @@ impl Default for ServerConfig {
             max_line_bytes: MAX_LINE_BYTES,
             worker_delay: None,
             use_synthesis: true,
-            mode: ServeMode::default(),
             cache_budget: Some(DEFAULT_CACHE_BUDGET),
             cache_snapshot: None,
             write_chunk_limit: None,
@@ -185,7 +150,7 @@ impl Counters {
     }
 }
 
-/// State shared by the acceptor, readers, and workers.
+/// State shared by the reactor and the workers.
 pub struct ServerState {
     sig_cache: Arc<SigCache>,
     /// One simplifier per requested width, all sharing `sig_cache`.
@@ -209,7 +174,7 @@ pub struct ServerState {
     /// Instantaneous queue depth, sampled at enqueue/dequeue edges.
     queue_depth: Arc<Gauge>,
     /// Sinks owed a shutdown acknowledgement once draining finishes.
-    ackers: Mutex<Vec<(Option<u64>, ResponseSink)>>,
+    ackers: Mutex<Vec<(Option<u64>, Arc<ConnHandle>)>>,
 }
 
 impl ServerState {
@@ -261,7 +226,7 @@ impl ServerState {
     }
 
     /// Sinks owed a shutdown acknowledgement once draining finishes.
-    pub(crate) fn ackers(&self) -> &Mutex<Vec<(Option<u64>, ResponseSink)>> {
+    pub(crate) fn ackers(&self) -> &Mutex<Vec<(Option<u64>, Arc<ConnHandle>)>> {
         &self.ackers
     }
 
@@ -288,7 +253,7 @@ impl ServerState {
 pub(crate) struct Job {
     pub(crate) request: Request,
     pub(crate) received: Instant,
-    pub(crate) writer: ResponseSink,
+    pub(crate) writer: Arc<ConnHandle>,
 }
 
 /// A bound, not-yet-running server.
@@ -352,16 +317,21 @@ impl Server {
     /// # Errors
     ///
     /// Propagates listener-level I/O failures only; per-connection
-    /// errors are contained.
+    /// errors are contained. Without an epoll backend (any platform but
+    /// Linux) this is the `Unsupported` error of the event loop's
+    /// constructor, returned before any thread is started.
     pub fn run(self) -> std::io::Result<()> {
         let Server {
             listener,
-            local_addr,
             config,
             state,
             queue,
+            ..
         } = self;
 
+        // The event loop is set up before the workers start, so a
+        // platform without one leaves no worker blocked on the queue.
+        let mut reactor = Reactor::new(listener, &config, Arc::clone(&state), Arc::clone(&queue))?;
         let workers: Vec<_> = (0..effective_workers(config.workers))
             .map(|_| {
                 let queue = Arc::clone(&queue);
@@ -370,16 +340,7 @@ impl Server {
                 std::thread::spawn(move || worker_loop(&queue, &state, delay))
             })
             .collect();
-
-        let result = match config.mode {
-            ServeMode::Reactor => {
-                reactor::run(listener, &config, Arc::clone(&state), queue, workers)
-            }
-            ServeMode::ThreadPerConnection => {
-                run_threaded(listener, local_addr, &config, &state, &queue, workers);
-                Ok(())
-            }
-        };
+        let result = reactor.serve(workers);
         // Persist the cache across restarts; the next bind warm-starts
         // from it. Failures cost only the warm start.
         if let Some(path) = &config.cache_snapshot {
@@ -388,71 +349,6 @@ impl Server {
             }
         }
         result
-    }
-}
-
-/// The thread-per-connection serving loop: blocking accept, one reader
-/// thread per connection, drain-then-ack on shutdown.
-fn run_threaded(
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    config: &ServerConfig,
-    state: &Arc<ServerState>,
-    queue: &Arc<BoundedQueue<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-) {
-    let mut connections = Vec::new();
-    for stream in listener.incoming() {
-        if state.is_shutting_down() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let state = Arc::clone(state);
-        let queue = Arc::clone(queue);
-        let max_line = config.max_line_bytes;
-        connections.push(std::thread::spawn(move || {
-            // A failed socket setup just drops the connection.
-            let _ = handle_connection(stream, &state, &queue, max_line, local_addr);
-        }));
-    }
-
-    // Shutdown: readers exit at their next poll tick, the queue
-    // closes once no reader can enqueue, and workers drain what was
-    // accepted. Join order matters — readers first, so every
-    // enqueue happens before close().
-    for c in connections {
-        let _ = c.join();
-    }
-    queue.close();
-    for w in workers {
-        if w.join().is_err() {
-            // A worker died outside the per-job catch-unwind guard
-            // (pre-pop or post-respond). No job is lost at those
-            // points, but count it — a dead worker is still a bug.
-            state.counters.internal_errors.inc();
-        }
-    }
-    // Belt-and-braces: if a worker died, its share of the backlog
-    // may still be queued. The queue is closed, so pop() cannot
-    // block; answer anything left rather than stranding it.
-    while let Some((job, _)) = queue.pop() {
-        write_line(
-            &job.writer,
-            &render_error(&ProtocolError::new(
-                Some(job.request.id),
-                ErrorCode::ShuttingDown,
-                "server is draining",
-            )),
-        );
-    }
-    // All responses are flushed; acknowledge the shutdown callers.
-    let ackers = std::mem::take(&mut *state.ackers().lock().unwrap());
-    let drained = state.counters.served.get();
-    for (id, writer) in ackers {
-        write_line(
-            &writer,
-            &render_ok("shutdown", id, &[("served".into(), drained.to_string())]),
-        );
     }
 }
 
@@ -465,152 +361,22 @@ fn effective_workers(configured: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Writes one response line (appending the newline) through the sink.
-/// Write errors mean the client is gone; the server does not care.
-pub(crate) fn write_line(writer: &ResponseSink, line: &str) {
-    writer.send(line);
-}
-
-/// Reads newline-delimited requests off one connection until EOF or
-/// shutdown. Protocol errors are answered per line; nothing a client
-/// sends can take down the reader, let alone the worker pool.
-fn handle_connection(
-    stream: TcpStream,
-    state: &Arc<ServerState>,
-    queue: &BoundedQueue<Job>,
-    max_line_bytes: usize,
-    local_addr: SocketAddr,
-) -> std::io::Result<()> {
-    // Short read timeouts turn the blocking read into a poll loop on
-    // the shutdown flag.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    // Replies are small and often pipelined: without this, one written
-    // while the previous is unacknowledged waits for the client's
-    // delayed ACK (DESIGN.md §16). Only latency depends on it, so a
-    // socket that refuses the flag is still served.
-    let _ = stream.set_nodelay(true);
-    let writer = ResponseSink::Blocking(Arc::new(Mutex::new(stream.try_clone()?)));
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    // When a line overflows `max_line_bytes` it is answered once and
-    // the remainder (up to the next newline) silently discarded.
-    let mut discarding = false;
-
-    loop {
-        match read_until_newline(&mut reader, &mut buf) {
-            ReadOutcome::WouldBlock => {
-                if state.is_shutting_down() {
-                    return Ok(());
-                }
-                if !discarding && buf.len() > max_line_bytes {
-                    reject_oversized(state, &writer, max_line_bytes);
-                    discarding = true;
-                    buf.clear();
-                }
-                continue;
-            }
-            ReadOutcome::Eof => {
-                if !buf.is_empty() && !discarding {
-                    // Final unterminated line: still a request.
-                    if handle_line(&buf, state, queue, &writer) {
-                        poke_acceptor(local_addr);
-                    }
-                }
-                return Ok(());
-            }
-            ReadOutcome::Line => {
-                if discarding {
-                    discarding = false;
-                    buf.clear();
-                    continue;
-                }
-                if buf.len() > max_line_bytes {
-                    reject_oversized(state, &writer, max_line_bytes);
-                    buf.clear();
-                    continue;
-                }
-                let shutdown_received = handle_line(&buf, state, queue, &writer);
-                buf.clear();
-                if shutdown_received {
-                    // No further requests on this connection; the ack
-                    // arrives once draining completes. The blocking
-                    // acceptor needs a poke to notice the flag.
-                    poke_acceptor(local_addr);
-                    return Ok(());
-                }
-            }
-            ReadOutcome::Error(e) => return Err(e),
-        }
-    }
-}
-
-enum ReadOutcome {
-    /// A complete line (newline stripped) is in the buffer.
-    Line,
-    /// Timeout tick; the buffer may hold a partial line.
-    WouldBlock,
-    /// Clean end of stream.
-    Eof,
-    /// Hard I/O error.
-    Error(std::io::Error),
-}
-
-/// Appends bytes to `buf` until a newline (consumed, not kept), EOF, or
-/// a timeout tick. Partial reads accumulate across ticks.
-fn read_until_newline(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> ReadOutcome {
-    let mut byte = [0u8; 1];
-    loop {
-        match reader.read(&mut byte) {
-            Ok(0) => return ReadOutcome::Eof,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return ReadOutcome::Line;
-                }
-                buf.push(byte[0]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return ReadOutcome::WouldBlock
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return ReadOutcome::Error(e),
-        }
-    }
-}
-
-fn reject_oversized(state: &ServerState, writer: &ResponseSink, max_line_bytes: usize) {
-    state.counters.protocol_errors.inc();
-    write_line(
-        writer,
-        &render_error(&ProtocolError::new(
-            None,
-            ErrorCode::Invalid,
-            format!("line exceeds {max_line_bytes} bytes"),
-        )),
-    );
-}
-
 /// Decodes and dispatches one complete line. Returns `true` when the
 /// line was a shutdown request (the shutdown flag is already set; the
-/// caller unblocks its accept loop however that loop blocks).
+/// caller stops reading the connection).
 pub(crate) fn handle_line(
     raw: &[u8],
-    state: &Arc<ServerState>,
+    state: &ServerState,
     queue: &BoundedQueue<Job>,
-    writer: &ResponseSink,
+    writer: &Arc<ConnHandle>,
 ) -> bool {
     let Ok(line) = std::str::from_utf8(raw) else {
         state.counters.protocol_errors.inc();
-        write_line(
-            writer,
-            &render_error(&ProtocolError::new(
-                None,
-                ErrorCode::Parse,
-                "line is not valid UTF-8",
-            )),
-        );
+        writer.send(&render_error(&ProtocolError::new(
+            None,
+            ErrorCode::Parse,
+            "line is not valid UTF-8",
+        )));
         return false;
     };
     if line.trim().is_empty() {
@@ -620,38 +386,39 @@ pub(crate) fn handle_line(
     match decode_line(line) {
         Err(e) => {
             state.counters.protocol_errors.inc();
-            write_line(writer, &render_error(&e));
+            writer.send(&render_error(&e));
             false
         }
         Ok(ClientMessage::Control(Control::Ping, id)) => {
-            write_line(writer, &render_ok("ping", id, &[]));
+            writer.send(&render_ok("ping", id, &[]));
             false
         }
         Ok(ClientMessage::Control(Control::Stats, id)) => {
-            write_line(writer, &render_ok("stats", id, &stats_fields(state, queue)));
+            writer.send(&render_ok("stats", id, &stats_fields(state, queue)));
             false
         }
         Ok(ClientMessage::Control(Control::Shutdown, id)) => {
-            state.ackers().lock().unwrap().push((id, writer.clone()));
+            state
+                .ackers()
+                .lock()
+                .unwrap()
+                .push((id, Arc::clone(writer)));
             state.begin_shutdown();
             true
         }
         Ok(ClientMessage::Simplify(request)) => {
             if state.is_shutting_down() {
-                write_line(
-                    writer,
-                    &render_error(&ProtocolError::new(
-                        Some(request.id),
-                        ErrorCode::ShuttingDown,
-                        "server is draining",
-                    )),
-                );
+                writer.send(&render_error(&ProtocolError::new(
+                    Some(request.id),
+                    ErrorCode::ShuttingDown,
+                    "server is draining",
+                )));
                 return false;
             }
             let job = Job {
                 request,
                 received: Instant::now(),
-                writer: writer.clone(),
+                writer: Arc::clone(writer),
             };
             match queue.try_push(job) {
                 // The post-push depth comes back from under the queue
@@ -671,22 +438,16 @@ pub(crate) fn handle_line(
                             (ErrorCode::ShuttingDown, "server is draining".to_string())
                         }
                     };
-                    write_line(
-                        &job.writer,
-                        &render_error(&ProtocolError::new(Some(job.request.id), code, detail)),
-                    );
+                    job.writer.send(&render_error(&ProtocolError::new(
+                        Some(job.request.id),
+                        code,
+                        detail,
+                    )));
                 }
             }
             false
         }
     }
-}
-
-/// Unblocks the thread-mode acceptor with a loopback self-connection
-/// (idempotent; extra connections are dropped by the accept loop's
-/// flag check). The reactor needs no poke — its loop polls the flag.
-fn poke_acceptor(local_addr: SocketAddr) {
-    let _ = TcpStream::connect_timeout(&local_addr, Duration::from_millis(200));
 }
 
 fn stats_fields(state: &ServerState, queue: &BoundedQueue<Job>) -> Vec<(String, String)> {
@@ -768,14 +529,11 @@ fn worker_loop(queue: &BoundedQueue<Job>, state: &ServerState, delay: Option<Dur
         }));
         if outcome.is_err() {
             state.counters.internal_errors.inc();
-            write_line(
-                &job.writer,
-                &render_error(&ProtocolError::new(
-                    Some(job.request.id),
-                    ErrorCode::Internal,
-                    "worker panicked while serving this request",
-                )),
-            );
+            job.writer.send(&render_error(&ProtocolError::new(
+                Some(job.request.id),
+                ErrorCode::Internal,
+                "worker panicked while serving this request",
+            )));
         }
         state
             .queue_service
@@ -798,14 +556,11 @@ fn serve_job(job: &Job, state: &ServerState) {
         Ok(e) => e,
         Err(e) => {
             state.counters.protocol_errors.inc();
-            write_line(
-                &job.writer,
-                &render_error(&ProtocolError::new(
-                    Some(job.request.id),
-                    ErrorCode::Invalid,
-                    format!("expr does not parse: {e}"),
-                )),
-            );
+            job.writer.send(&render_error(&ProtocolError::new(
+                Some(job.request.id),
+                ErrorCode::Invalid,
+                format!("expr does not parse: {e}"),
+            )));
             return;
         }
     };
@@ -816,33 +571,27 @@ fn serve_job(job: &Job, state: &ServerState) {
         return reject_deadline(job, state);
     }
     state.counters.served.inc();
-    write_line(
-        &job.writer,
-        &render_reply(&Reply {
-            id: job.request.id,
-            simplified: result.output.to_string(),
-            node_count_in: expr.node_count() as u64,
-            node_count_out: result.output.node_count() as u64,
-            micros: elapsed.as_micros() as u64,
-            cache_hit_rate: state.cache_stats().hit_rate(),
-        }),
-    );
+    job.writer.send(&render_reply(&Reply {
+        id: job.request.id,
+        simplified: result.output.to_string(),
+        node_count_in: expr.node_count() as u64,
+        node_count_out: result.output.node_count() as u64,
+        micros: elapsed.as_micros() as u64,
+        cache_hit_rate: state.cache_stats().hit_rate(),
+    }));
 }
 
 fn reject_deadline(job: &Job, state: &ServerState) {
     state.counters.deadline_expired.inc();
-    write_line(
-        &job.writer,
-        &render_error(&ProtocolError::new(
-            Some(job.request.id),
-            ErrorCode::Deadline,
-            format!(
-                "deadline of {}ms exceeded after {}us",
-                job.request.deadline_ms.unwrap_or(0),
-                job.received.elapsed().as_micros()
-            ),
-        )),
-    );
+    job.writer.send(&render_error(&ProtocolError::new(
+        Some(job.request.id),
+        ErrorCode::Deadline,
+        format!(
+            "deadline of {}ms exceeded after {}us",
+            job.request.deadline_ms.unwrap_or(0),
+            job.received.elapsed().as_micros()
+        ),
+    )));
 }
 
 /// The background server thread's join handle; joining yields the

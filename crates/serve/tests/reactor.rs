@@ -1,12 +1,12 @@
-//! Reactor-mode state-machine tests: partial reads, chunked writes,
-//! mid-stream oversize enforcement, and byte-identity against the
-//! thread-per-connection mode.
+//! Reactor state-machine tests: partial reads, chunked writes,
+//! mid-stream oversize enforcement, and a pinned transcript of a seeded
+//! request stream.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mba_serve::{Client, ServeMode, Server, ServerConfig};
+use mba_serve::{Client, Server, ServerConfig};
 use mba_verify::{generate_case, CaseConfig};
 
 fn spawn(config: ServerConfig) -> (std::net::SocketAddr, mba_serve::server::ServerHandle) {
@@ -17,7 +17,6 @@ fn spawn(config: ServerConfig) -> (std::net::SocketAddr, mba_serve::server::Serv
 
 fn reactor_config() -> ServerConfig {
     ServerConfig {
-        mode: ServeMode::Reactor,
         workers: 2,
         ..ServerConfig::default()
     }
@@ -169,51 +168,56 @@ fn mask_timing(line: &str) -> String {
     out
 }
 
-/// The load-bearing differential: the reactor and the thread-per-
-/// connection mode must produce byte-identical responses (modulo the
-/// masked timing fields) for the same seeded request stream, including
-/// protocol errors and the shutdown ack.
+/// FNV-1a over the masked transcript of
+/// `seeded_stream_transcript_matches_the_pinned_digest`, each line
+/// followed by a newline. Recorded from the reactor at the commit where
+/// the thread-per-connection mode it replaced produced the same
+/// transcript byte for byte.
+const PINNED_TRANSCRIPT_DIGEST: u64 = 0x6a68_b8e8_7edc_4136;
+
+fn fnv1a(mut digest: u64, line: &str) -> u64 {
+    for b in line.bytes().chain([b'\n']) {
+        digest ^= u64::from(b);
+        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    digest
+}
+
+/// The responses to a seeded request stream, including protocol errors
+/// and the shutdown ack, are pinned byte for byte (modulo the masked
+/// timing fields).
 #[test]
-fn reactor_and_thread_modes_are_byte_identical_on_a_seeded_stream() {
+fn seeded_stream_transcript_matches_the_pinned_digest() {
     let case_config = CaseConfig::default();
-    let requests: Vec<(u64, String, u32)> = (0..30u64)
+    let (addr, handle) = spawn(reactor_config());
+    let mut client = Client::connect(addr).expect("connect");
+    let mut lines: Vec<String> = (0..30u64)
         .map(|i| {
             let expr = generate_case(7, i, &case_config).expr.to_string();
-            (i, expr, if i % 3 == 0 { 32 } else { 64 })
+            let width = if i % 3 == 0 { 32 } else { 64 };
+            let reply = client.simplify(i, &expr, width, None).expect("reply");
+            mask_timing(&reply.raw)
         })
         .collect();
+    client
+        .send_raw("{\"id\":99,\"expr\":\"x +\",\"width\":64}")
+        .expect("send");
+    lines.push(mask_timing(&client.recv().expect("recv").raw));
+    client.send_raw("not json").expect("send");
+    lines.push(mask_timing(&client.recv().expect("recv").raw));
+    let ack = client.shutdown().expect("ack");
+    lines.push(mask_timing(&ack.raw));
+    handle.join().unwrap().unwrap();
 
-    let run_mode = |mode: ServeMode| -> Vec<String> {
-        let (addr, handle) = spawn(ServerConfig {
-            mode,
-            workers: 2,
-            ..ServerConfig::default()
-        });
-        let mut client = Client::connect(addr).expect("connect");
-        let mut lines: Vec<String> = requests
-            .iter()
-            .map(|(id, expr, width)| {
-                let reply = client.simplify(*id, expr, *width, None).expect("reply");
-                mask_timing(&reply.raw)
-            })
-            .collect();
-        // Error paths must match too.
-        client.send_raw("{\"id\":99,\"expr\":\"x +\",\"width\":64}").expect("send");
-        lines.push(mask_timing(&client.recv().expect("recv").raw));
-        client.send_raw("not json").expect("send");
-        lines.push(mask_timing(&client.recv().expect("recv").raw));
-        let ack = client.shutdown().expect("ack");
-        lines.push(mask_timing(&ack.raw));
-        handle.join().unwrap().unwrap();
-        lines
-    };
-
-    let reactor = run_mode(ServeMode::Reactor);
-    let threaded = run_mode(ServeMode::ThreadPerConnection);
-    assert_eq!(reactor.len(), threaded.len());
-    for (i, (r, t)) in reactor.iter().zip(&threaded).enumerate() {
-        assert_eq!(r, t, "response {i} differs between modes");
-    }
+    let digest = lines
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |d, line| fnv1a(d, line));
+    assert_eq!(
+        digest,
+        PINNED_TRANSCRIPT_DIGEST,
+        "transcript changed (digest {digest:#018x}):\n{}",
+        lines.join("\n")
+    );
 }
 
 /// EOF with a final unterminated line still gets that line answered
@@ -242,42 +246,36 @@ fn final_unterminated_line_is_served_after_eof() {
 /// Nagle's algorithm on the server socket it would wait for the
 /// client's delayed ACK (about 40 ms on Linux). Accepted sockets set
 /// `TCP_NODELAY` and each reply leaves in one `write`, so the pair
-/// round-trips in well under that, in both serving modes.
+/// round-trips in well under that.
 #[test]
 fn pipelined_reply_pairs_are_not_held_for_delayed_acks() {
-    for mode in [ServeMode::Reactor, ServeMode::ThreadPerConnection] {
-        let (addr, handle) = spawn(ServerConfig {
-            mode,
-            workers: 2,
-            ..ServerConfig::default()
-        });
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut pair_ms: Vec<f64> = (0..10u64)
-            .map(|i| {
-                let pair = format!(
-                    "{{\"id\":{},\"expr\":\"x ^ x\",\"width\":64}}\n\
-                     {{\"id\":{},\"expr\":\"x | x\",\"width\":64}}\n",
-                    2 * i,
-                    2 * i + 1
-                );
-                let start = std::time::Instant::now();
-                stream.write_all(pair.as_bytes()).expect("send pair");
-                for _ in 0..2 {
-                    let mut line = String::new();
-                    reader.read_line(&mut line).expect("read reply");
-                    assert!(line.contains("\"simplified\""), "{mode:?}: {line}");
-                }
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        pair_ms.sort_by(f64::total_cmp);
-        let median = pair_ms[pair_ms.len() / 2];
-        assert!(
-            median < 20.0,
-            "{mode:?}: median pipelined pair took {median:.1} ms ({pair_ms:?})"
-        );
-        shutdown(addr);
-        handle.join().unwrap().unwrap();
-    }
+    let (addr, handle) = spawn(reactor_config());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut pair_ms: Vec<f64> = (0..10u64)
+        .map(|i| {
+            let pair = format!(
+                "{{\"id\":{},\"expr\":\"x ^ x\",\"width\":64}}\n\
+                 {{\"id\":{},\"expr\":\"x | x\",\"width\":64}}\n",
+                2 * i,
+                2 * i + 1
+            );
+            let start = std::time::Instant::now();
+            stream.write_all(pair.as_bytes()).expect("send pair");
+            for _ in 0..2 {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read reply");
+                assert!(line.contains("\"simplified\""), "{line}");
+            }
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    pair_ms.sort_by(f64::total_cmp);
+    let median = pair_ms[pair_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median pipelined pair took {median:.1} ms ({pair_ms:?})"
+    );
+    shutdown(addr);
+    handle.join().unwrap().unwrap();
 }

@@ -285,10 +285,10 @@ fn requests_after_shutdown_are_refused_on_other_connections() {
     let mut shutdown_conn = connect(addr);
 
     // Put slow work in flight, then request shutdown from a second
-    // connection while it is still running. The pause lets the first
-    // connection's reader enqueue id 1 before the shutdown flag flips —
-    // without it the two reader threads race and id 1 may be refused
-    // before it was ever "in flight".
+    // connection while it is still running. The pause lets the server
+    // enqueue id 1 before the shutdown flag flips — without it the two
+    // connections' lines race and id 1 may be refused before it was
+    // ever "in flight".
     worker_conn
         .send_raw("{\"id\":1,\"expr\":\"(x&~y)*(~x&y) + (x&y)*(x|y)\"}")
         .unwrap();
@@ -296,13 +296,13 @@ fn requests_after_shutdown_are_refused_on_other_connections() {
     shutdown_conn.send_raw("{\"control\":\"shutdown\"}").unwrap();
 
     // The first connection tries to sneak another request in during
-    // the drain: either the reader already stopped (EOF at drain end)
+    // the drain: either reading already stopped (EOF at drain end)
     // or it is refused with `shutting_down` — it must never be
     // silently queued and then dropped without an answer.
     std::thread::sleep(Duration::from_millis(10));
     worker_conn.send_raw("{\"id\":2,\"expr\":\"x\"}").unwrap();
 
-    // The refusal is written inline by the reader while the worker is
+    // The refusal is written inline by the reactor while the worker is
     // still computing id 1, so the two responses can arrive in either
     // order — match them by id.
     let mut got_first = false;

@@ -14,8 +14,8 @@
 //! reader-writer locks (16 shards, keyed by hash, so parallel batch
 //! simplification does not serialize on one lock):
 //!
-//! 1. `(expression, variable order) → TruthTable` — the `2^t`
-//!    evaluation sweep ([`SigCache::table_of`]);
+//! 1. `(arena node id, variable order) → TruthTable` — the `2^t`
+//!    evaluation sweep ([`SigCache::table_of_id`]);
 //! 2. `TruthTable → ∧-basis coefficients` — the Möbius inversion of
 //!    §4.3 ([`SigCache::and_coefficients`]);
 //! 3. `TruthTable → ∨-basis coefficients` — the Table 9 linear solve,
@@ -30,17 +30,31 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mba_expr::{Expr, ExprArena, Ident, NodeId};
+use mba_expr::{ExprArena, Ident, NodeId};
 use mba_linalg::{Matrix, Rational};
-use parking_lot::RwLock;
 
 use crate::signature::SignatureVector;
 use crate::truth::{NotBitwiseError, TruthTable};
 
 /// Shard count; a power of two so the shard index is a mask.
 const SHARDS: usize = 16;
+
+/// Number of internal maps a budget is split over.
+const MAPS: usize = 3;
+
+/// Shard lock guards that survive a panic in another holder: every
+/// shard update leaves the map and its clock ring consistent, and the
+/// server catches worker panics, so one panicking request must not
+/// poison the cache for every later one.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Hit/miss counters of one [`SigCache`], captured at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,7 +172,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     fn get(&self, key: &K) -> Option<V> {
-        let shard = self.shard(key).read();
+        let shard = read(self.shard(key));
         let &idx = shard.map.get(key)?;
         let slot = &shard.slots[idx];
         slot.referenced.store(true, Ordering::Relaxed);
@@ -166,7 +180,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     fn insert(&self, key: K, value: V) {
-        let mut shard = self.shard(&key).write();
+        let mut shard = write(self.shard(&key));
         if let Some(&idx) = shard.map.get(&key) {
             // Racing computations of the same key: last write wins,
             // which is harmless — every cached value is a pure function
@@ -213,11 +227,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards.iter().map(|s| read(s).map.len()).sum()
     }
 
     fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().map.len()).collect()
+        self.shards.iter().map(|s| read(s).map.len()).collect()
     }
 
     fn evictions(&self) -> u64 {
@@ -228,7 +242,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     /// unspecified; snapshot writers sort afterwards.
     fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for s in &self.shards {
-            let shard = s.read();
+            let shard = read(s);
             for slot in &shard.slots {
                 f(&slot.key, &slot.value);
             }
@@ -237,7 +251,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
 
     fn clear(&self) {
         for s in &self.shards {
-            let mut shard = s.write();
+            let mut shard = write(s);
             shard.map.clear();
             shard.slots.clear();
             shard.hand = 0;
@@ -246,24 +260,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 }
 
-/// Cache key for truth tables: the expression plus its variable order
-/// (the same expression has different tables under different orders).
-#[derive(Hash, PartialEq, Eq, Clone)]
-struct TableKey {
-    expr: Expr,
-    vars: Vec<Ident>,
-}
-
-/// Cache key for arena-interned truth tables: the node id plus the
-/// arena's identity and generation ([`ExprArena::uid`] /
-/// [`ExprArena::generation`]), so an id from a cleared-and-refilled or
-/// different arena can never satisfy a stale probe. Hashing is O(1) —
+/// Cache key for truth tables: the node id plus the arena's identity
+/// and generation ([`ExprArena::uid`] / [`ExprArena::generation`]), so
+/// an id from a cleared-and-refilled or different arena can never
+/// satisfy a stale probe, plus the variable order (the same subtree
+/// has different tables under different orders). Hashing is O(1) —
 /// four integers plus the variable order — instead of re-hashing a
 /// whole subtree, and hash-consing makes the id hit across
 /// *expressions*: every occurrence of `x & y` in the workload maps to
 /// one key.
 #[derive(Hash, PartialEq, Eq, Clone)]
-struct IdTableKey {
+struct IdKey {
     arena_uid: u64,
     generation: u64,
     id: NodeId,
@@ -277,22 +284,21 @@ struct IdTableKey {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use mba_expr::Ident;
-/// use mba_sig::{SigCache, TruthTable};
+/// use mba_expr::{ExprArena, Ident};
+/// use mba_sig::SigCache;
 ///
 /// let cache = Arc::new(SigCache::new());
+/// let arena = ExprArena::new();
 /// let vars = [Ident::new("x"), Ident::new("y")];
-/// let e = "x | ~y".parse().unwrap();
-/// let t1 = cache.table_of(&e, &vars).unwrap();
-/// let t2 = cache.table_of(&e, &vars).unwrap();
+/// let id = arena.intern(&"x | ~y".parse().unwrap());
+/// let t1 = cache.table_of_id(&arena, id, &vars).unwrap();
+/// let t2 = cache.table_of_id(&arena, id, &vars).unwrap();
 /// assert_eq!(t1, t2);
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 pub struct SigCache {
-    tables: ShardedMap<TableKey, Arc<TruthTable>>,
-    /// Truth tables keyed by arena node id ([`SigCache::table_of_id`]);
-    /// disjoint from `tables` so the two keyings can be compared.
-    id_tables: ShardedMap<IdTableKey, Arc<TruthTable>>,
+    /// Truth tables keyed by arena node id ([`SigCache::table_of_id`]).
+    id_tables: ShardedMap<IdKey, Arc<TruthTable>>,
     and_coeffs: ShardedMap<TruthTable, Arc<Vec<i128>>>,
     /// `None` records that no integer ∨-basis solution exists, so the
     /// failing solve is not repeated either.
@@ -324,7 +330,6 @@ impl SigCache {
     /// memory.
     pub fn new() -> SigCache {
         SigCache {
-            tables: ShardedMap::new(),
             id_tables: ShardedMap::new(),
             and_coeffs: ShardedMap::new(),
             or_coeffs: ShardedMap::new(),
@@ -335,19 +340,19 @@ impl SigCache {
     }
 
     /// Creates an empty cache holding at most `budget` entries across
-    /// all four internal maps, evicting clock-wise (second chance)
-    /// per shard once a shard fills. `budget` is clamped to at least
-    /// `64` (4 maps × 16 shards × 1 slot); [`SigCache::len`] never
-    /// exceeds the clamped budget. Eviction can only cost recompute
-    /// time, never correctness — every cached value is a pure function
-    /// of its key, which the differential cache tests pin down.
+    /// its three internal maps (a third each), evicting clock-wise
+    /// (second chance) per shard once a shard fills. `budget` is
+    /// clamped to at least `48` (3 maps × 16 shards × 1 slot);
+    /// [`SigCache::len`] never exceeds the clamped budget. Eviction can
+    /// only cost recompute time, never correctness — every cached value
+    /// is a pure function of its key, which the differential cache
+    /// tests pin down.
     pub fn with_budget(budget: usize) -> SigCache {
-        let budget = budget.max(4 * SHARDS);
-        let per_map = budget / 4;
+        let budget = budget.max(MAPS * SHARDS);
+        let per_map = budget / MAPS;
         let per_shard = (per_map / SHARDS).max(1);
         let cap = Some(per_shard);
         SigCache {
-            tables: ShardedMap::with_cap(cap),
             id_tables: ShardedMap::with_cap(cap),
             and_coeffs: ShardedMap::with_cap(cap),
             or_coeffs: ShardedMap::with_cap(cap),
@@ -366,8 +371,7 @@ impl SigCache {
     /// Entries evicted so far across all maps (always 0 when
     /// unbounded).
     pub fn evictions(&self) -> u64 {
-        self.tables.evictions()
-            + self.id_tables.evictions()
+        self.id_tables.evictions()
             + self.and_coeffs.evictions()
             + self.or_coeffs.evictions()
     }
@@ -380,37 +384,12 @@ impl SigCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The truth table of pure-bitwise `e` over `vars`, memoized.
-    ///
-    /// # Errors
-    ///
-    /// Fails exactly when [`TruthTable::of`] fails; errors are not
-    /// cached (they are cheap to rediscover and rare on the hot path).
-    pub fn table_of(&self, e: &Expr, vars: &[Ident]) -> Result<Arc<TruthTable>, NotBitwiseError> {
-        let key = TableKey {
-            expr: e.clone(),
-            vars: vars.to_vec(),
-        };
-        if let Some(hit) = self.tables.get(&key) {
-            self.hit();
-            return Ok(hit);
-        }
-        self.miss();
-        let table = Arc::new(TruthTable::of(e, vars)?);
-        self.tables.insert(key, Arc::clone(&table));
-        Ok(table)
-    }
-
     /// The truth table of an arena-interned pure-bitwise subtree over
-    /// `vars`, memoized by `(arena uid, generation, id, vars)` —
-    /// [`SigCache::table_of`]'s id-keyed twin. The key never re-hashes
-    /// the subtree, and hash-consing gives cross-expression CSE: after
-    /// any expression computes the table for a shared subtree, every
-    /// later expression containing that subtree hits.
-    ///
-    /// The hit/miss accounting is identical to the expression keying —
-    /// one hit or one miss per lookup — so replaying a corpus through
-    /// either keying yields the same [`CacheStats`].
+    /// `vars`, memoized by `(arena uid, generation, id, vars)`. The key
+    /// never re-hashes the subtree, and hash-consing gives
+    /// cross-expression CSE: after any expression computes the table
+    /// for a shared subtree, every later expression containing that
+    /// subtree hits. Each lookup counts one hit or one miss.
     ///
     /// # Errors
     ///
@@ -422,7 +401,7 @@ impl SigCache {
         id: NodeId,
         vars: &[Ident],
     ) -> Result<Arc<TruthTable>, NotBitwiseError> {
-        let key = IdTableKey {
+        let key = IdKey {
             arena_uid: arena.uid(),
             generation: arena.generation(),
             id,
@@ -481,7 +460,7 @@ impl SigCache {
 
     /// Number of memoized entries across all three maps.
     pub fn len(&self) -> usize {
-        self.tables.len() + self.id_tables.len() + self.and_coeffs.len() + self.or_coeffs.len()
+        self.id_tables.len() + self.and_coeffs.len() + self.or_coeffs.len()
     }
 
     /// Whether the cache holds no entries.
@@ -495,7 +474,6 @@ impl SigCache {
     pub fn shard_occupancy(&self) -> Vec<usize> {
         let mut totals = vec![0usize; SHARDS];
         for map_lens in [
-            self.tables.shard_lens(),
             self.id_tables.shard_lens(),
             self.and_coeffs.shard_lens(),
             self.or_coeffs.shard_lens(),
@@ -533,7 +511,6 @@ impl SigCache {
 
     /// Drops every entry and resets the counters.
     pub fn clear(&self) {
-        self.tables.clear();
         self.id_tables.clear();
         self.and_coeffs.clear();
         self.or_coeffs.clear();
@@ -549,12 +526,10 @@ impl SigCache {
     /// strings (the workspace JSON parser carries numbers as `f64`,
     /// lossy above 2⁵³, so integers ride in strings).
     ///
-    /// Only the restart-durable maps are included: expression-keyed
-    /// truth tables and both coefficient maps. Id-keyed tables are
-    /// scoped to one arena generation inside one process and can never
-    /// be valid in the next one.
+    /// Only the restart-durable maps are included: the two coefficient
+    /// maps. Id-keyed tables are scoped to one arena generation inside
+    /// one process and can never be valid in the next one.
     pub fn snapshot_json(&self) -> String {
-        use mba_obs::json::json_escape;
         fn table_fields(tt: &TruthTable) -> String {
             let blocks: Vec<String> = tt
                 .blocks()
@@ -571,20 +546,6 @@ impl SigCache {
             let parts: Vec<String> = coeffs.iter().map(|c| format!("\"{c}\"")).collect();
             format!("[{}]", parts.join(","))
         }
-        let mut tables = Vec::new();
-        self.tables.for_each(|key, table| {
-            let vars: Vec<String> = key
-                .vars
-                .iter()
-                .map(|v| format!("\"{}\"", json_escape(v.as_ref())))
-                .collect();
-            tables.push(format!(
-                "{{\"expr\":\"{}\",\"vars\":[{}],{}}}",
-                json_escape(&key.expr.to_string()),
-                vars.join(","),
-                table_fields(table)
-            ));
-        });
         let mut and_entries = Vec::new();
         self.and_coeffs.for_each(|tt, coeffs| {
             and_entries.push(format!(
@@ -606,12 +567,10 @@ impl SigCache {
         });
         // Rendering is injective on entries, so sorting the rendered
         // strings sorts the entries — determinism without a custom key.
-        tables.sort();
         and_entries.sort();
         or_entries.sort();
         format!(
-            "{{\"version\":1,\"tables\":[{}],\"and_coeffs\":[{}],\"or_coeffs\":[{}]}}",
-            tables.join(","),
+            "{{\"version\":1,\"and_coeffs\":[{}],\"or_coeffs\":[{}]}}",
             and_entries.join(","),
             or_entries.join(",")
         )
@@ -625,7 +584,7 @@ impl SigCache {
     ///
     /// Snapshots are trusted local state — validation is structural
     /// (shape, parseability, block widths), not semantic; a hand-edited
-    /// snapshot that pairs an expression with the wrong table is the
+    /// snapshot that pairs a table with the wrong coefficients is the
     /// operator's own foot-gun, exactly like editing any other cache
     /// file on disk.
     ///
@@ -691,30 +650,6 @@ impl SigCache {
             return Err("unsupported snapshot version".into());
         }
         let mut loaded = 0usize;
-        for entry in entries(obj, "tables")? {
-            let e = entry.as_obj().ok_or("table entry is not an object")?;
-            let expr: Expr = e
-                .get("expr")
-                .and_then(Json::as_str)
-                .ok_or("table entry missing `expr`")?
-                .parse()
-                .map_err(|err| format!("snapshot expr does not parse: {err}"))?;
-            let vars: Vec<Ident> = match e.get("vars") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(Ident::new)
-                            .ok_or_else(|| "var is not a string".to_string())
-                    })
-                    .collect::<Result<_, String>>()?,
-                _ => return Err("table entry missing `vars`".into()),
-            };
-            let table = table_of_entry(e)?;
-            self.tables
-                .insert(TableKey { expr, vars }, Arc::new(table));
-            loaded += 1;
-        }
         for entry in entries(obj, "and_coeffs")? {
             let e = entry.as_obj().ok_or("coeff entry is not an object")?;
             let table = table_of_entry(e)?;
@@ -799,24 +734,10 @@ pub fn or_basis_coefficients(tt: &TruthTable) -> Option<Vec<i128>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mba_expr::Expr;
 
     fn vars2() -> Vec<Ident> {
         vec![Ident::new("x"), Ident::new("y")]
-    }
-
-    #[test]
-    fn table_lookups_hit_on_repeat() {
-        let cache = SigCache::new();
-        let e: Expr = "x & ~y".parse().unwrap();
-        let t1 = cache.table_of(&e, &vars2()).unwrap();
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-        let t2 = cache.table_of(&e, &vars2()).unwrap();
-        assert_eq!(t1, t2);
-        assert_eq!(cache.stats().hits, 1);
-        // A different variable order is a different key.
-        let flipped = vec![Ident::new("y"), Ident::new("x")];
-        let t3 = cache.table_of(&e, &flipped).unwrap();
-        assert_ne!(t1.column(), t3.column());
     }
 
     #[test]
@@ -873,7 +794,7 @@ mod tests {
     #[test]
     fn id_keyed_tables_hit_on_repeat_and_across_expressions() {
         let cache = SigCache::new();
-        let arena = mba_expr::ExprArena::new();
+        let arena = ExprArena::new();
         let e: Expr = "x & ~y".parse().unwrap();
         let id = arena.intern(&e);
         let t1 = cache.table_of_id(&arena, id, &vars2()).unwrap();
@@ -892,14 +813,18 @@ mod tests {
         assert_eq!(shared, id);
         cache.table_of_id(&arena, shared, &vars2()).unwrap();
         assert_eq!(cache.stats().hits, 2);
-        // The table itself is byte-identical to the expression keying's.
-        assert_eq!(*t1, *cache.table_of(&e, &vars2()).unwrap());
+        // The table itself is byte-identical to the uncached sweep's.
+        assert_eq!(*t1, TruthTable::of(&e, &vars2()).unwrap());
+        // A different variable order is a different key.
+        let flipped = vec![Ident::new("y"), Ident::new("x")];
+        let t3 = cache.table_of_id(&arena, id, &flipped).unwrap();
+        assert_ne!(t1.column(), t3.column());
     }
 
     #[test]
     fn id_keys_are_generation_scoped() {
         let cache = SigCache::new();
-        let arena = mba_expr::ExprArena::new();
+        let arena = ExprArena::new();
         let e: Expr = "x | y".parse().unwrap();
         let id = arena.intern(&e);
         cache.table_of_id(&arena, id, &vars2()).unwrap();
@@ -929,9 +854,10 @@ mod tests {
     #[test]
     fn occupancy_and_published_metrics_mirror_cache_state() {
         let cache = SigCache::new();
+        let arena = ExprArena::new();
         for src in ["x & y", "x | y", "x ^ y"] {
-            let e: Expr = src.parse().unwrap();
-            let tt = cache.table_of(&e, &vars2()).unwrap();
+            let id = arena.intern(&src.parse().unwrap());
+            let tt = cache.table_of_id(&arena, id, &vars2()).unwrap();
             cache.and_coefficients(&tt);
         }
         let occupancy = cache.shard_occupancy();
@@ -949,7 +875,7 @@ mod tests {
             .map(|i| snap.gauge(&format!("sig.shard.{i:02}.entries")))
             .sum();
         assert_eq!(shard_total, cache.len() as i64);
-        // The eval-engine mirror rides along: table_of compiled at
+        // The eval-engine mirror rides along: table_of_id compiled at
         // least one tape (bit-parallel truth-table extraction), so the
         // published gauges must be non-zero.
         assert!(snap.gauge("eval.tape_compiles") >= 1);
@@ -972,8 +898,9 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let cache = SigCache::new();
-        let e: Expr = "x | y".parse().unwrap();
-        cache.table_of(&e, &vars2()).unwrap();
+        let arena = ExprArena::new();
+        let id = arena.intern(&"x | y".parse().unwrap());
+        cache.table_of_id(&arena, id, &vars2()).unwrap();
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
@@ -983,6 +910,7 @@ mod tests {
     #[test]
     fn concurrent_lookups_agree() {
         let cache = Arc::new(SigCache::new());
+        let arena = ExprArena::new();
         let exprs: Vec<Expr> = ["x&y", "x|y", "x^y", "~x&~y", "x|~y", "~(x&y)"]
             .iter()
             .map(|s| s.parse().unwrap())
@@ -991,11 +919,11 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let cache = Arc::clone(&cache);
-                let exprs = exprs.clone();
-                let vars = vars.clone();
+                let (arena, exprs, vars) = (&arena, &exprs, &vars);
                 scope.spawn(move || {
-                    for e in &exprs {
-                        let tt = cache.table_of(e, &vars).unwrap();
+                    for e in exprs {
+                        let id = arena.intern(e);
+                        let tt = cache.table_of_id(arena, id, vars).unwrap();
                         let c = cache.and_coefficients(&tt);
                         let direct = SignatureVector::from_truth_table(&tt)
                             .normalized_coefficients();

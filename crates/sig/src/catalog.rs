@@ -9,10 +9,9 @@
 //! by expression size and memoizes the results process-wide.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mba_expr::{BinOp, Expr, Ident, UnOp};
-use parking_lot::Mutex;
 
 use crate::truth::TruthTable;
 
@@ -212,7 +211,8 @@ pub fn shared(vars: &[Ident]) -> Option<Arc<Catalog>> {
     }
     static CACHE: Mutex<Option<HashMap<Vec<String>, Arc<Catalog>>>> = Mutex::new(None);
     let key: Vec<String> = vars.iter().map(|v| v.as_str().to_owned()).collect();
-    let mut guard = CACHE.lock();
+    // A panicking build inserts nothing, so the map stays valid.
+    let mut guard = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
     let map = guard.get_or_insert_with(HashMap::new);
     Some(Arc::clone(
         map.entry(key)

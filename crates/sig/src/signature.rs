@@ -6,7 +6,6 @@ use std::fmt;
 use mba_expr::classify::{decompose_term, flatten_sum};
 use mba_expr::{Expr, Ident};
 use mba_linalg::{Matrix, Rational};
-use serde::{Deserialize, Serialize};
 
 use crate::basis::{self, linear_combination};
 use crate::truth::{NotBitwiseError, TruthTable};
@@ -52,7 +51,7 @@ impl From<NotBitwiseError> for NotLinearError {
 /// Components are indexed by variable assignment with the *first*
 /// variable as the most significant bit, matching the row order of the
 /// paper's tables.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignatureVector {
     num_vars: usize,
     components: Vec<i128>,

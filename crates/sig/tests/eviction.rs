@@ -4,31 +4,40 @@
 
 use std::sync::Arc;
 
-use mba_expr::{Expr, Ident};
-use mba_sig::SigCache;
+use mba_expr::{Expr, ExprArena, Ident, NodeId};
+use mba_sig::{SigCache, TruthTable};
 use mba_solver::{Simplifier, SimplifyConfig};
 
-/// Distinct two-variable bitwise expressions: every `(i, op)` pair uses
-/// its own identifiers, so each one is a fresh cache key.
-fn distinct_exprs(n: usize) -> Vec<(Expr, Vec<Ident>)> {
+/// Distinct two-variable bitwise expressions interned into `arena`:
+/// every `(i, op)` pair uses its own identifiers, so each one is a
+/// fresh cache key.
+fn distinct_ids(arena: &ExprArena, n: usize) -> Vec<(NodeId, Vec<Ident>)> {
     let ops = ["&", "|", "^"];
     (0..n)
         .map(|i| {
             let (a, b) = (format!("a{i}"), format!("b{i}"));
             let op = ops[i % ops.len()];
             let e: Expr = format!("{a} {op} ~{b}").parse().unwrap();
-            (e, vec![Ident::new(a), Ident::new(b)])
+            (arena.intern(&e), vec![Ident::new(a), Ident::new(b)])
         })
+        .collect()
+}
+
+/// Distinct four-variable truth tables, one per 16-row column value.
+fn distinct_tables(n: usize) -> Vec<TruthTable> {
+    (0..n as u64)
+        .map(|column| TruthTable::from_blocks(4, vec![column]).unwrap())
         .collect()
 }
 
 #[test]
 fn occupancy_never_exceeds_budget() {
-    let budget = 64; // the clamp floor: 4 maps × 16 shards × 1 slot
+    let budget = 48; // the clamp floor: 3 maps × 16 shards × 1 slot
     let cache = SigCache::with_budget(budget);
     assert_eq!(cache.budget(), Some(budget));
-    for (e, vars) in distinct_exprs(500) {
-        let tt = cache.table_of(&e, &vars).unwrap();
+    let arena = ExprArena::new();
+    for (id, vars) in distinct_ids(&arena, 500) {
+        let tt = cache.table_of_id(&arena, id, &vars).unwrap();
         cache.and_coefficients(&tt);
         cache.or_coefficients(&tt);
         assert!(
@@ -39,19 +48,41 @@ fn occupancy_never_exceeds_budget() {
     }
     assert!(
         cache.evictions() > 0,
-        "500 distinct keys into a 64-entry cache must evict"
+        "500 distinct keys into a 48-entry cache must evict"
     );
     // Shard occupancy mirrors the same bound.
     let total: usize = cache.shard_occupancy().into_iter().sum();
     assert_eq!(total, cache.len());
 }
 
+/// Under the default ∧ basis the ∨-coefficient map stays empty, so
+/// the other two maps must be able to hold more than half the budget.
+#[test]
+fn and_basis_traffic_fills_more_than_half_the_budget() {
+    let budget = 1024;
+    let cache = SigCache::with_budget(budget);
+    let arena = ExprArena::new();
+    let ids = distinct_ids(&arena, 4 * budget);
+    for ((id, vars), tt) in ids.iter().zip(distinct_tables(4 * budget)) {
+        cache.table_of_id(&arena, *id, vars).unwrap();
+        cache.and_coefficients(&tt);
+    }
+    assert!(cache.evictions() > 0, "4x the budget in keys must evict");
+    assert!(
+        cache.len() > budget / 2,
+        "∧-basis traffic holds only {} of {budget} entries",
+        cache.len()
+    );
+    assert!(cache.len() <= budget);
+}
+
 #[test]
 fn unbounded_cache_never_evicts() {
     let cache = SigCache::new();
     assert_eq!(cache.budget(), None);
-    for (e, vars) in distinct_exprs(200) {
-        cache.table_of(&e, &vars).unwrap();
+    let arena = ExprArena::new();
+    for (id, vars) in distinct_ids(&arena, 200) {
+        cache.table_of_id(&arena, id, &vars).unwrap();
     }
     assert_eq!(cache.evictions(), 0);
     assert!(cache.len() >= 200);
@@ -63,13 +94,15 @@ fn evicted_entries_recompute_identically() {
     // evicted, and the recomputed tables must be byte-identical to the
     // originals.
     let cache = SigCache::with_budget(64);
-    let exprs = distinct_exprs(300);
-    let originals: Vec<_> = exprs
+    let arena = ExprArena::new();
+    let ids = distinct_ids(&arena, 300);
+    let originals: Vec<_> = ids
         .iter()
-        .map(|(e, vars)| (*cache.table_of(e, vars).unwrap()).clone())
+        .map(|(id, vars)| (*cache.table_of_id(&arena, *id, vars).unwrap()).clone())
         .collect();
-    for ((e, vars), original) in exprs.iter().zip(&originals) {
-        let again = cache.table_of(e, vars).unwrap();
+    assert!(cache.evictions() > 0);
+    for ((id, vars), original) in ids.iter().zip(&originals) {
+        let again = cache.table_of_id(&arena, *id, vars).unwrap();
         assert_eq!(*again, *original);
     }
 }
@@ -113,12 +146,14 @@ fn simplification_is_byte_identical_under_eviction() {
 #[test]
 fn snapshot_roundtrip_is_canonical_and_warm_starts() {
     let vars = vec![Ident::new("x"), Ident::new("y")];
+    let tables: Vec<TruthTable> = ["x & y", "x | ~y", "x ^ y", "~x & ~y"]
+        .iter()
+        .map(|src| TruthTable::of(&src.parse().unwrap(), &vars).unwrap())
+        .collect();
     let cache = SigCache::with_budget(1024);
-    for src in ["x & y", "x | ~y", "x ^ y", "~x & ~y"] {
-        let e: Expr = src.parse().unwrap();
-        let tt = cache.table_of(&e, &vars).unwrap();
-        cache.and_coefficients(&tt);
-        cache.or_coefficients(&tt);
+    for tt in &tables {
+        cache.and_coefficients(tt);
+        cache.or_coefficients(tt);
     }
     let snapshot = cache.snapshot_json();
 
@@ -132,22 +167,20 @@ fn snapshot_roundtrip_is_canonical_and_warm_starts() {
 
     // Warm start: the queries that were misses on the cold cache are
     // hits on the restored one.
-    for src in ["x & y", "x | ~y", "x ^ y", "~x & ~y"] {
-        let e: Expr = src.parse().unwrap();
-        let cold = cache.table_of(&e, &vars).unwrap();
-        let warm = restored.table_of(&e, &vars).unwrap();
-        assert_eq!(*cold, *warm);
+    for tt in &tables {
+        assert_eq!(cache.and_coefficients(tt), restored.and_coefficients(tt));
+        assert_eq!(cache.or_coefficients(tt), restored.or_coefficients(tt));
     }
     let stats = restored.stats();
     assert_eq!(stats.misses, 0, "warm-started lookups must all hit");
-    assert_eq!(stats.hits, 4);
+    assert_eq!(stats.hits, 8);
 }
 
 #[test]
 fn snapshot_into_smaller_budget_respects_the_smaller_budget() {
     let big = SigCache::new();
-    for (e, vars) in distinct_exprs(300) {
-        big.table_of(&e, &vars).unwrap();
+    for tt in distinct_tables(300) {
+        big.and_coefficients(&tt);
     }
     let snapshot = big.snapshot_json();
     let small = SigCache::with_budget(64);
@@ -162,10 +195,9 @@ fn snapshot_rejects_malformed_documents() {
         "",
         "[]",
         "{\"version\":2}",
-        "{\"version\":1,\"tables\":7}",
-        "{\"version\":1,\"tables\":[{\"expr\":\"x +\",\"vars\":[\"x\"],\"num_vars\":1,\"blocks\":[\"0x2\"]}]}",
-        "{\"version\":1,\"tables\":[{\"expr\":\"x\",\"vars\":[\"x\"],\"num_vars\":1,\"blocks\":[\"2\"]}]}",
+        "{\"version\":1,\"and_coeffs\":7}",
         "{\"version\":1,\"and_coeffs\":[{\"num_vars\":1,\"blocks\":[\"0x2\"],\"coeffs\":null}]}",
+        "{\"version\":1,\"or_coeffs\":[{\"num_vars\":1,\"blocks\":[\"2\"],\"coeffs\":null}]}",
     ] {
         assert!(cache.load_snapshot(bad).is_err(), "`{bad}` should not load");
     }

@@ -280,14 +280,11 @@ mod tests {
     #[test]
     fn gates_reject_leaves_wide_var_sets_and_constants() {
         let s = synth();
-        let before = synth_stats();
         assert_eq!(s.synthesize(&"x".parse().unwrap()), None);
         assert_eq!(s.synthesize(&"17".parse().unwrap()), None);
         let nine: Expr = "v0&v1&v2&v3&v4&v5&v6&v7&v8".parse().unwrap();
         assert_eq!(nine.vars().len(), 9);
         assert_eq!(s.synthesize(&nine), None);
-        // None of the gated queries count as attempts.
-        assert_eq!(synth_stats().since(&before).attempts, 0);
     }
 
     #[test]
@@ -305,33 +302,26 @@ mod tests {
         assert_ne!(target.eval(&v, 8), unsound.eval(&v, 8));
     }
 
+    /// Mixed bitwise/arithmetic inputs that are zero (or equal to a
+    /// tiny expression) on all but 6–8% of 64-bit valuations. A wrong
+    /// candidate for each matched the in-key probes and a 24-lane
+    /// re-verify; the re-verify must reject all of them.
     #[test]
-    fn fallback_counter_and_probe_reverify_path() {
-        // Counters move across a hit.
+    fn sparse_disagreements_are_rejected_by_the_re_verify() {
         let s = synth();
-        let before = synth_stats();
-        let target: Expr = "x + y + ((x*(x+1)) & 1)".parse().unwrap();
-        assert!(s.synthesize(&target).is_some());
-        let delta = synth_stats().since(&before);
-        assert_eq!(delta.attempts, 1);
-        assert_eq!(delta.hits, 1);
-        assert!(delta.candidates > 0, "pool build must count candidates");
-    }
-
-    #[test]
-    fn pools_are_cached_per_variable_set() {
-        let s = synth();
-        let before = synth_stats();
-        let a: Expr = "x + y + ((x*(x+1)) & 1)".parse().unwrap();
-        let b: Expr = "x - y + ((y*(y+1)) & 1)".parse().unwrap();
-        s.synthesize(&a);
-        let after_first = synth_stats().since(&before);
-        s.synthesize(&b);
-        let after_second = synth_stats().since(&before);
-        // Same {x, y} variable set: the second query reuses the pool,
-        // so the candidate counter does not move again.
-        assert_eq!(after_first.candidates, after_second.candidates);
-        assert_eq!(after_second.attempts, 2);
+        for src in [
+            "x&z+22&--((y&x)+(-1+y))&((-64*z+y^z+-y|(x3^z|-1-x3)+(~x3+y))&8)",
+            "31-x&(x3&x&((x3*y^x3|(y*-8|~x3))&(x3+y*x&(y&z|-52^-32))))",
+            "-x3&(z&(-(z|x^y)&z))",
+            "x3&((x^x)+(x3-y)|x3|-x3)-y",
+        ] {
+            let target: Expr = src.parse().unwrap();
+            assert_eq!(
+                s.synthesize(&target),
+                None,
+                "`{src}` accepted a wrong candidate"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,14 @@ pub const PROBE_LANES: usize = 8;
 /// Additional deterministic valuations re-checked before an acceptance
 /// is substituted into the output (the "probe re-verify" of the
 /// soundness contract).
-pub const VERIFY_LANES: usize = 24;
+///
+/// Probes are evidence, not proof: a candidate that disagrees with the
+/// target on a fraction `p` of valuations still passes all
+/// `PROBE_LANES + VERIFY_LANES` = 264 probes with probability about
+/// `(1 − p)^264`. Mixed bitwise/arithmetic inputs that are zero on all
+/// but 6–8% of valuations passed the 32 probes of a 24-lane re-verify;
+/// at 256 lanes such a candidate passes with probability below 10⁻⁷.
+pub const VERIFY_LANES: usize = 256;
 
 /// The packed width-1 truth table: row `r` of the candidate's boolean
 /// function lands in bit `r % 64` of word `r / 64`, rows beyond `2^t`

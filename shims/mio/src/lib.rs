@@ -24,8 +24,8 @@
 //!   that drain readiness to `WouldBlock` — as all of ours do — behave
 //!   identically under both disciplines.
 //! * Only Linux is supported; on other platforms every constructor
-//!   returns `Unsupported`. The workspace's reactor falls back to
-//!   thread-per-connection I/O there.
+//!   returns `Unsupported`, so the workspace still compiles there and
+//!   the server reports the error instead of serving.
 //!
 //! All `unsafe` in the workspace's event-driven serving path lives in
 //! this file; `mba-serve` itself keeps `#![forbid(unsafe_code)]`.
@@ -480,8 +480,8 @@ pub use fallback_impl::{Events, Poll, Registry, Waker};
 #[cfg(not(target_os = "linux"))]
 mod fallback_impl {
     //! Non-Linux stub: constructors fail with `Unsupported`, so callers
-    //! (the serve reactor) can detect the missing backend at runtime
-    //! and fall back to thread-per-connection I/O.
+    //! (the serve reactor, the open-loop load generator) report the
+    //! missing backend at runtime.
 
     use super::{Interest, Token};
     use std::io;

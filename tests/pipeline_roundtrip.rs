@@ -130,17 +130,16 @@ fn simplifier_is_reusable_and_thread_safe() {
         .collect();
 
     let fresh = Simplifier::new();
-    let parallel: Vec<Expr> = crossbeam::thread::scope(|scope| {
+    let parallel: Vec<Expr> = std::thread::scope(|scope| {
         let handles: Vec<_> = corpus
             .samples()
             .iter()
             .map(|s| {
                 let fresh = &fresh;
-                scope.spawn(move |_| fresh.simplify(&s.obfuscated))
+                scope.spawn(move || fresh.simplify(&s.obfuscated))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
     assert_eq!(sequential, parallel);
 }
