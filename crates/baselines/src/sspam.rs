@@ -42,11 +42,7 @@ const RULES: &[(&str, &str, &str)] = &[
     ("xor-2ornot", "(A ^ B) + 2*(A | ~B) + 2", "A - B"),
     ("xor-sub-2andnot", "(A ^ B) - 2*(~A & B)", "A - B"),
     // Product encoding (the paper's Figure 1).
-    (
-        "mul-split",
-        "(A & ~B)*(~A & B) + (A & B)*(A | B)",
-        "A * B",
-    ),
+    ("mul-split", "(A & ~B)*(~A & B) + (A & B)*(A | B)", "A * B"),
     // Complement algebra.
     ("neg-not", "-A - 1", "~A"),
     ("not-to-neg", "~A + 1", "-A"),
@@ -104,9 +100,8 @@ impl Sspam {
     pub fn simplify(&self, e: &Expr) -> Expr {
         let mut current = e.clone();
         for _ in 0..self.max_rounds {
-            let next = mba_expr::visit::transform_bottom_up(&current, &mut |node| {
-                self.rewrite_node(node)
-            });
+            let next =
+                mba_expr::visit::transform_bottom_up(&current, &mut |node| self.rewrite_node(node));
             let next = fold_constants(&next);
             if next == current {
                 break;
@@ -174,11 +169,9 @@ fn instantiate(template: &Expr, bindings: &HashMap<Ident, Expr>) -> Expr {
             .cloned()
             .unwrap_or_else(|| template.clone()),
         Expr::Unary(op, inner) => Expr::unary(*op, instantiate(inner, bindings)),
-        Expr::Binary(op, a, b) => Expr::binary(
-            *op,
-            instantiate(a, bindings),
-            instantiate(b, bindings),
-        ),
+        Expr::Binary(op, a, b) => {
+            Expr::binary(*op, instantiate(a, bindings), instantiate(b, bindings))
+        }
     }
 }
 

@@ -205,11 +205,7 @@ impl Syntia {
         let expected: Vec<u64> = inputs
             .iter()
             .map(|point| {
-                let v: Valuation = vars
-                    .iter()
-                    .cloned()
-                    .zip(point.iter().copied())
-                    .collect();
+                let v: Valuation = vars.iter().cloned().zip(point.iter().copied()).collect();
                 oracle.eval(&v, width)
             })
             .collect();
@@ -409,9 +405,7 @@ mod tests {
             ..SyntiaConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(3);
-        let oracle: Expr = "(x&~y)*(~w&z) + (x^w)*(y|z) + 12345*w"
-            .parse()
-            .unwrap();
+        let oracle: Expr = "(x&~y)*(~w&z) + (x^w)*(y|z) + 12345*w".parse().unwrap();
         let r = syntia.synthesize(&oracle, &mut rng);
         assert!(!r.matches_all_samples, "implausibly exact: {}", r.expr);
         assert!(r.score < 1.0);

@@ -412,7 +412,8 @@ impl BddManager {
 
     /// `a ∨ b` (De Morgan through complement edges — shares the ∧ memo).
     pub fn or(&mut self, a: Edge, b: Edge) -> Option<Edge> {
-        self.and(a.complement(), b.complement()).map(Edge::complement)
+        self.and(a.complement(), b.complement())
+            .map(Edge::complement)
     }
 
     /// `if c then t else e`, routed through the apply cache.
@@ -445,9 +446,7 @@ impl BddManager {
                 _ => None,
             },
             Expr::Var(v) => self.var(*index.get(v)?),
-            Expr::Unary(UnOp::Not, inner) => {
-                self.build_rec(inner, index).map(Edge::complement)
-            }
+            Expr::Unary(UnOp::Not, inner) => self.build_rec(inner, index).map(Edge::complement),
             Expr::Binary(op, a, b) => {
                 let a = self.build_rec(a, index)?;
                 let b = self.build_rec(b, index)?;

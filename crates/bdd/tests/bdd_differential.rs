@@ -59,11 +59,19 @@ fn bdd_equal_iff_table_equal(a: &Expr, b: &Expr, t: usize) {
     let eb = mgr.build(b, &vars).unwrap();
     let ta = TruthTable::of(a, &vars).unwrap();
     let tb = TruthTable::of(b, &vars).unwrap();
-    assert_eq!(ea == eb, ta == tb, "BDD and truth table disagree: {a} vs {b}");
+    assert_eq!(
+        ea == eb,
+        ta == tb,
+        "BDD and truth table disagree: {a} vs {b}"
+    );
     // The complement edge of one side must agree with the complemented
     // table too — exercises the complement-flag canonical form.
     let not_b = TruthTable::of(&!b.clone(), &vars).unwrap();
-    assert_eq!(ea == eb.complement(), ta == not_b, "complement: {a} vs ~({b})");
+    assert_eq!(
+        ea == eb.complement(),
+        ta == not_b,
+        "complement: {a} vs ~({b})"
+    );
 }
 
 fn roundtrip_exact(e: &Expr, t: usize) {

@@ -19,43 +19,54 @@ fn bench_config_variants(c: &mut Criterion) {
         ("full", SimplifyConfig::default()),
         (
             "no-final-step",
-            SimplifyConfig { final_step: false, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                final_step: false,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "no-lookup-table",
-            SimplifyConfig { use_cache: false, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                use_cache: false,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "or-basis",
-            SimplifyConfig { basis: Basis::Or, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                basis: Basis::Or,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "adaptive-basis",
-            SimplifyConfig { basis: Basis::Adaptive, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                basis: Basis::Adaptive,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "single-round",
-            SimplifyConfig { max_rounds: 1, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                max_rounds: 1,
+                ..SimplifyConfig::default()
+            },
         ),
     ];
     let mut group = c.benchmark_group("ablation/simplify-corpus");
     group.sample_size(20);
     for (name, config) in variants {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &config,
-            |b, config| {
-                b.iter_batched(
-                    || Simplifier::with_config(config.clone()),
-                    |s| {
-                        for sample in corpus.samples() {
-                            std::hint::black_box(s.simplify(&sample.obfuscated));
-                        }
-                    },
-                    criterion::BatchSize::SmallInput,
-                );
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
+            b.iter_batched(
+                || Simplifier::with_config(config.clone()),
+                |s| {
+                    for sample in corpus.samples() {
+                        std::hint::black_box(s.simplify(&sample.obfuscated));
+                    }
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
     }
     group.finish();
 }

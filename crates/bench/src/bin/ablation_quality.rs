@@ -29,23 +29,38 @@ fn main() {
         ("full (default)", SimplifyConfig::default()),
         (
             "no final-step opt",
-            SimplifyConfig { final_step: false, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                final_step: false,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "no lookup table",
-            SimplifyConfig { use_cache: false, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                use_cache: false,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "or-basis",
-            SimplifyConfig { basis: Basis::Or, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                basis: Basis::Or,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "adaptive-basis",
-            SimplifyConfig { basis: Basis::Adaptive, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                basis: Basis::Adaptive,
+                ..SimplifyConfig::default()
+            },
         ),
         (
             "single round",
-            SimplifyConfig { max_rounds: 1, ..SimplifyConfig::default() },
+            SimplifyConfig {
+                max_rounds: 1,
+                ..SimplifyConfig::default()
+            },
         ),
     ];
 
@@ -94,7 +109,10 @@ fn main() {
             Duration::from_millis(100),
             config.threads,
         );
-        let fast = records.iter().filter(|r| r.verdict == Verdict::Solved).count();
+        let fast = records
+            .iter()
+            .filter(|r| r.verdict == Verdict::Solved)
+            .count();
 
         println!(
             "{:<20} {:>12.2} {:>12.1} {:>12.3} {:>11.1}% {:>13.1}%",

@@ -43,7 +43,11 @@ fn check(path: &PathBuf) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
-    let files = if args.is_empty() { bench_files_in_cwd() } else { args };
+    let files = if args.is_empty() {
+        bench_files_in_cwd()
+    } else {
+        args
+    };
     if files.is_empty() {
         eprintln!("check_bench_json: no BENCH_*.json files to check");
         return ExitCode::FAILURE;

@@ -74,9 +74,7 @@ fn main() {
             let hi = lo + bucket_width;
             let solved: Vec<_> = rs.iter().filter(|r| r.verdict == Verdict::Solved).collect();
             let timeouts = rs.iter().filter(|r| r.verdict == Verdict::Timeout).count();
-            let avg = mba_bench::report::mean(
-                solved.iter().map(|r| r.elapsed.as_secs_f64()),
-            );
+            let avg = mba_bench::report::mean(solved.iter().map(|r| r.elapsed.as_secs_f64()));
             println!(
                 "{:<16} {:>8} {:>10} {:>14.4} {:>11.1}%",
                 format!("[{lo:.0},{hi:.0})"),

@@ -6,7 +6,14 @@ use mba_bench::{report, runner::EquivalenceTask, ExperimentConfig, Verdict};
 use mba_gen::{Corpus, CorpusConfig};
 use mba_smt::SolverProfile;
 
-const BUCKETS: [&str; 6] = ["< 1 ms", "1-10 ms", "10-100 ms", "0.1-1 s", ">= 1 s", "timeout"];
+const BUCKETS: [&str; 6] = [
+    "< 1 ms",
+    "1-10 ms",
+    "10-100 ms",
+    "0.1-1 s",
+    ">= 1 s",
+    "timeout",
+];
 
 fn main() {
     let config = ExperimentConfig::from_env();
@@ -40,7 +47,10 @@ fn main() {
         let mut counts = vec![0usize; BUCKETS.len()];
         for r in &records {
             let bucket = report::time_bucket(r.elapsed, r.verdict == Verdict::Timeout);
-            let idx = BUCKETS.iter().position(|&b| b == bucket).expect("known bucket");
+            let idx = BUCKETS
+                .iter()
+                .position(|&b| b == bucket)
+                .expect("known bucket");
             counts[idx] += 1;
         }
         let max = counts.iter().copied().max().unwrap_or(0);

@@ -43,10 +43,17 @@ fn main() {
     println!("sorted solving-time curve (percentile -> seconds):");
     for p in (0..=100).step_by(5) {
         let idx = ((times.len().saturating_sub(1)) * p) / 100;
-        println!("  p{:<3} {:>10.4}", p, times.get(idx).copied().unwrap_or(0.0));
+        println!(
+            "  p{:<3} {:>10.4}",
+            p,
+            times.get(idx).copied().unwrap_or(0.0)
+        );
     }
 
-    let solved = records.iter().filter(|r| r.verdict == Verdict::Solved).count();
+    let solved = records
+        .iter()
+        .filter(|r| r.verdict == Verdict::Solved)
+        .count();
     let rewritten = records.iter().filter(|r| r.solved_by_rewriting).count();
     println!(
         "\nsolved {solved}/{} ({:.1}%); {rewritten} closed by word-level rewriting alone",

@@ -239,7 +239,10 @@ fn main() {
     };
 
     println!("Signature extraction: scalar vs bit-parallel truth tables");
-    println!("(repeats={} max-vars={})\n", config.repeats, config.max_vars);
+    println!(
+        "(repeats={} max-vars={})\n",
+        config.repeats, config.max_vars
+    );
     println!(
         "{:<6} {:>8} {:>16} {:>16} {:>8} {:>16} {:>8}",
         "vars", "rows", "scalar rows/s", "batch rows/s", "speedup", "interned rows/s", "warm-x"
@@ -344,9 +347,8 @@ fn main() {
         // bench chain's *diagram* stays linear in `t` but its rendered
         // expression does not, so the sweep raises the render budget
         // past the pipeline tier's conservative default.
-        let canonicalize = |e: &Expr| {
-            mba_bdd::canonicalize_limited(e, mba_bdd::DEFAULT_NODE_LIMIT, 1 << 16)
-        };
+        let canonicalize =
+            |e: &Expr| mba_bdd::canonicalize_limited(e, mba_bdd::DEFAULT_NODE_LIMIT, 1 << 16);
         let rendered = canonicalize(&e).expect("bench expression is pure bitwise");
         if t <= 12 {
             let table = TruthTable::of(&e, &vars).expect("pure bitwise");
@@ -355,9 +357,7 @@ fn main() {
         }
 
         let iters = config.repeats * 8;
-        let bdd_calls = calls_per_second(iters, || {
-            canonicalize(&e).expect("pure bitwise")
-        });
+        let bdd_calls = calls_per_second(iters, || canonicalize(&e).expect("pure bitwise"));
         let bdd_rows = bdd_calls * rows as f64;
         if t == 12 {
             t12_bdd_rows_per_s = bdd_rows;
@@ -420,7 +420,12 @@ fn main() {
         linear_corpus.push(e.clone());
 
         if t > MAX_BASIS_SOLVE_VARS {
-            println!("{t:<6} {:>8} {simba_rate:>16.0} {:>16} {:>10}", 2 * t + 1, "-", "-");
+            println!(
+                "{t:<6} {:>8} {simba_rate:>16.0} {:>16} {:>10}",
+                2 * t + 1,
+                "-",
+                "-"
+            );
             continue;
         }
 
@@ -429,13 +434,16 @@ fn main() {
             .solve_in_basis(&basis, &vars)
             .expect("∧-basis is pure bitwise")
             .expect("∧-basis is unimodular, always solves");
-        let recovered =
-            simba::recover_coefficients(&e, &vars, 64).expect("linear by construction");
+        let recovered = simba::recover_coefficients(&e, &vars, 64).expect("linear by construction");
         // `solve_in_basis` orders coefficients by basis element
         // (subsets 1.., then −1); `recover_coefficients` puts the −1
         // column at index 0.
         for (s, &c) in recovered.iter().enumerate() {
-            let classic = if s == 0 { solved[basis.len() - 1] } else { solved[s - 1] };
+            let classic = if s == 0 {
+                solved[basis.len() - 1]
+            } else {
+                solved[s - 1]
+            };
             assert_eq!(
                 simba::reduce(c, 64),
                 simba::reduce(classic, 64),
@@ -681,7 +689,9 @@ fn main() {
         std::process::exit(1);
     }
     if !wide_speedup.is_finite() || wide_speedup < 2.0 {
-        eprintln!("wide candidate evaluator is only {wide_speedup:.2}x the narrow interpreter (need 2x)");
+        eprintln!(
+            "wide candidate evaluator is only {wide_speedup:.2}x the narrow interpreter (need 2x)"
+        );
         std::process::exit(1);
     }
     if synth_delta.hits < 1 {

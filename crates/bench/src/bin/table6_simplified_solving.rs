@@ -83,7 +83,9 @@ fn main() {
         .push_stage_breakdown(&simplifier.metrics().snapshot());
     for (name, records) in names.iter().zip(&per_profile) {
         for kind in report::CATEGORIES {
-            let prefix = format!("{name}_{kind}").to_lowercase().replace([' ', '-'], "_");
+            let prefix = format!("{name}_{kind}")
+                .to_lowercase()
+                .replace([' ', '-'], "_");
             telemetry.push_aggregate(&prefix, &report::aggregate(records, kind));
         }
     }

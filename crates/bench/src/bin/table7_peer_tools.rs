@@ -36,7 +36,10 @@ fn main() {
     // Run the three tools.
     eprintln!("running sspam ...");
     let sspam = Sspam::new();
-    let sspam_out: Vec<Expr> = samples.iter().map(|s| sspam.simplify(&s.obfuscated)).collect();
+    let sspam_out: Vec<Expr> = samples
+        .iter()
+        .map(|s| sspam.simplify(&s.obfuscated))
+        .collect();
 
     eprintln!("running syntia ...");
     let syntia = Syntia::new();
@@ -58,15 +61,33 @@ fn main() {
     let solver_out: Vec<Expr> = solver_run.outputs();
 
     let runs = [
-        ToolRun { name: "SSPAM", outputs: sspam_out },
-        ToolRun { name: "Syntia", outputs: syntia_out },
-        ToolRun { name: "MBA-Solver", outputs: solver_out },
+        ToolRun {
+            name: "SSPAM",
+            outputs: sspam_out,
+        },
+        ToolRun {
+            name: "Syntia",
+            outputs: syntia_out,
+        },
+        ToolRun {
+            name: "MBA-Solver",
+            outputs: solver_out,
+        },
     ];
 
     println!(
         "{:<12} {:>5} {:>5} {:>5} {:>8}  {:>8} {:>8} {:>7}  {:>10} {:>10} {:>10}",
-        "Tool", "Y", "N", "O", "Ratio%", "AltBefore", "AltAfter", "A/B%",
-        "z3 (s)", "stp (s)", "boolector"
+        "Tool",
+        "Y",
+        "N",
+        "O",
+        "Ratio%",
+        "AltBefore",
+        "AltAfter",
+        "A/B%",
+        "z3 (s)",
+        "stp (s)",
+        "boolector"
     );
 
     let profiles = SolverProfile::all();
@@ -90,9 +111,18 @@ fn main() {
             config.timeout(),
             config.threads,
         );
-        let y = verdicts.iter().filter(|r| r.verdict == Verdict::Solved).count();
-        let n = verdicts.iter().filter(|r| r.verdict == Verdict::Refuted).count();
-        let o = verdicts.iter().filter(|r| r.verdict == Verdict::Timeout).count();
+        let y = verdicts
+            .iter()
+            .filter(|r| r.verdict == Verdict::Solved)
+            .count();
+        let n = verdicts
+            .iter()
+            .filter(|r| r.verdict == Verdict::Refuted)
+            .count();
+        let o = verdicts
+            .iter()
+            .filter(|r| r.verdict == Verdict::Timeout)
+            .count();
 
         // Alternation before/after over the correctly simplified set.
         let correct: Vec<usize> = verdicts
@@ -101,16 +131,20 @@ fn main() {
             .map(|r| r.sample_id)
             .collect();
         let before = report::mean(
-            correct.iter().map(|&i| alternation(&samples[i].obfuscated) as f64),
+            correct
+                .iter()
+                .map(|&i| alternation(&samples[i].obfuscated) as f64),
         );
         let after = report::mean(correct.iter().map(|&i| alternation(&run.outputs[i]) as f64));
-        let ratio = if before > 0.0 { 100.0 * after / before } else { 0.0 };
+        let ratio = if before > 0.0 {
+            100.0 * after / before
+        } else {
+            0.0
+        };
 
         // Per-profile average solving time over correct outputs.
-        let correct_tasks: Vec<EquivalenceTask> = correct
-            .iter()
-            .map(|&i| tasks[i].clone())
-            .collect();
+        let correct_tasks: Vec<EquivalenceTask> =
+            correct.iter().map(|&i| tasks[i].clone()).collect();
         let mut avg_times = [0.0f64; 3];
         for (slot, profile) in avg_times.iter_mut().zip(&profiles) {
             let records = mba_bench::run_equivalence_checks(

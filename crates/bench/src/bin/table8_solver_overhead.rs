@@ -45,7 +45,9 @@ fn main() {
             } else {
                 ObfuscationKind::NonPolynomial
             };
-            let truth: Expr = ["x+y", "x-y+z", "x^y", "2*x+y"][attempts % 4].parse().expect("parses");
+            let truth: Expr = ["x+y", "x-y+z", "x^y", "2*x+y"][attempts % 4]
+                .parse()
+                .expect("parses");
             let candidate = obfuscator.obfuscate(&truth, kind, &mut rng);
             let alt = alternation(&candidate);
             if alt.abs_diff(target) <= 3 {

@@ -154,8 +154,16 @@ mod tests {
     #[test]
     fn flags_override_defaults() {
         let c = parse(&[
-            "--seed", "7", "--per-category", "12", "--width", "16",
-            "--timeout-ms", "250", "--threads", "2",
+            "--seed",
+            "7",
+            "--per-category",
+            "12",
+            "--width",
+            "16",
+            "--timeout-ms",
+            "250",
+            "--threads",
+            "2",
         ])
         .unwrap();
         assert_eq!(c.seed, 7);

@@ -46,8 +46,14 @@ pub fn aggregate(records: &[SolveRecord], kind: ObfuscationKind) -> CategoryAggr
     CategoryAggregate {
         total: of_kind.len(),
         solved: solved.len(),
-        refuted: of_kind.iter().filter(|r| r.verdict == Verdict::Refuted).count(),
-        timeouts: of_kind.iter().filter(|r| r.verdict == Verdict::Timeout).count(),
+        refuted: of_kind
+            .iter()
+            .filter(|r| r.verdict == Verdict::Refuted)
+            .count(),
+        timeouts: of_kind
+            .iter()
+            .filter(|r| r.verdict == Verdict::Timeout)
+            .count(),
         t_min: if times.is_empty() {
             0.0
         } else {
@@ -113,7 +119,10 @@ pub fn solver_table(profile_names: &[&str], per_profile: &[Vec<SolveRecord>]) ->
     }
     out.push_str(&format!("{:<12}", "Total"));
     for records in per_profile {
-        let solved = records.iter().filter(|r| r.verdict == Verdict::Solved).count();
+        let solved = records
+            .iter()
+            .filter(|r| r.verdict == Verdict::Solved)
+            .count();
         let total = records.len().max(1);
         out.push_str(&format!(
             "  | {:>5} ({:>5.1}%) {:>21}",

@@ -175,11 +175,7 @@ mod tests {
     #[test]
     fn timeouts_are_reported() {
         // Figure 1 at 12 bits with a microscopic timeout.
-        let tasks = vec![task(
-            0,
-            "(x&~y)*(~x&y) + (x&y)*(x|y)",
-            "x*y",
-        )];
+        let tasks = vec![task(0, "(x&~y)*(~x&y) + (x&y)*(x|y)", "x*y")];
         let records = run_equivalence_checks(
             &tasks,
             &SolverProfile::z3_style(),
@@ -194,14 +190,10 @@ mod tests {
     fn simplify_corpus_matches_sequential_and_counts_cache_activity() {
         // Polynomial entries walk the truth-table route (linear inputs
         // take the corner-recovery fast path, which bypasses the cache).
-        let exprs: Vec<Expr> = [
-            "x*y + 2*(x&y)",
-            "x + y - 2*(x&y)",
-            "x*y + 2*(x&y)",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
+        let exprs: Vec<Expr> = ["x*y + 2*(x&y)", "x + y - 2*(x&y)", "x*y + 2*(x&y)"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
         let batch_solver = Simplifier::new();
         let run = simplify_corpus(&batch_solver, &exprs, 2);
         let sequential = Simplifier::new();

@@ -211,9 +211,7 @@ impl Poly {
     /// The zero polynomial renders as `0`.
     pub fn to_expr(&self) -> Expr {
         let mut monomials: Vec<(&Monomial, i128)> = self.iter().collect();
-        monomials.sort_by(|(ma, _), (mb, _)| {
-            mb.len().cmp(&ma.len()).then_with(|| ma.cmp(mb))
-        });
+        monomials.sort_by(|(ma, _), (mb, _)| mb.len().cmp(&ma.len()).then_with(|| ma.cmp(mb)));
         let terms: Vec<(i128, Expr)> = monomials
             .into_iter()
             .map(|(m, c)| (c, product_of(m)))
@@ -316,9 +314,7 @@ mod tests {
     fn mul_cap_triggers_bailout() {
         // (a0 + ... + a9)² has 55 distinct monomials; a cap of 40 must
         // bail while a loose cap succeeds.
-        let sum = (0..10).fold(Poly::zero(64), |acc, i| {
-            acc.add(&atom(&format!("a{i}")))
-        });
+        let sum = (0..10).fold(Poly::zero(64), |acc, i| acc.add(&atom(&format!("a{i}"))));
         assert!(sum.mul_capped(&sum, 40).is_none());
         assert_eq!(sum.mul_capped(&sum, 100).unwrap().num_terms(), 55);
     }
@@ -335,7 +331,11 @@ mod tests {
     fn rendered_expression_evaluates_like_the_polynomial() {
         let x = atom("x");
         let y = atom("y");
-        let p = x.mul(&y).unwrap().sub(&y.scale(3)).add(&Poly::constant(9, 64));
+        let p = x
+            .mul(&y)
+            .unwrap()
+            .sub(&y.scale(3))
+            .add(&Poly::constant(9, 64));
         let e = p.to_expr();
         let v = Valuation::new().with("x", 11).with("y", 5);
         assert_eq!(e.eval(&v, 64), (11 * 5 - 3 * 5 + 9) as u64);

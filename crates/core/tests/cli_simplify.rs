@@ -133,7 +133,11 @@ fn jobs_and_no_cache_flags_do_not_change_output() {
 
 #[test]
 fn jobs_rejects_non_positive_values() {
-    for bad in [&["--jobs", "0"][..], &["--jobs", "abc"][..], &["--jobs"][..]] {
+    for bad in [
+        &["--jobs", "0"][..],
+        &["--jobs", "abc"][..],
+        &["--jobs"][..],
+    ] {
         let out = bin().args(bad).arg("x").output().expect("binary runs");
         assert!(!out.status.success(), "{bad:?} must be rejected");
         assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs"));

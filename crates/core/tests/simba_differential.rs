@@ -8,10 +8,10 @@
 //! expansion as the truth-table route, so disagreement anywhere is a
 //! recovery bug, not a style difference.
 
+use mba_expr::{BinOp, Expr, UnOp};
 use mba_gen::random::{random_expr, RandomExprConfig};
 use mba_gen::{ObfuscationKind, Obfuscator};
 use mba_solver::{Simplifier, SimplifyConfig};
-use mba_expr::{BinOp, Expr, UnOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,11 +7,7 @@
 use mba_sig::simba;
 use mba_solver::{Simplifier, SimplifyConfig};
 
-const LINEAR_CORPUS: [&str; 3] = [
-    "x + y - 2*(x&y)",
-    "2*(x|y) - (x^y)",
-    "(x|y) + (x&y)",
-];
+const LINEAR_CORPUS: [&str; 3] = ["x + y - 2*(x&y)", "2*(x|y) - (x^y)", "(x|y) + (x&y)"];
 
 #[test]
 fn fast_path_fires_when_on_and_is_silent_when_off() {

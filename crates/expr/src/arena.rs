@@ -244,7 +244,11 @@ impl ArenaInner {
                 alternation: 0,
                 var_mask: 0,
                 flags: FLAG_BITWISE_WITH_CONSTS
-                    | if c == 0 || c == -1 { FLAG_PURE_BITWISE } else { 0 },
+                    | if c == 0 || c == -1 {
+                        FLAG_PURE_BITWISE
+                    } else {
+                        0
+                    },
                 literal: Some(c),
             },
             Node::Var(i) => NodeMeta {
@@ -295,7 +299,10 @@ impl ArenaInner {
                 let connects = self.connects(op.domain(), a) || self.connects(op.domain(), b);
                 NodeMeta {
                     hash: combine(0x40 + op as u64, la.hash, lb.hash),
-                    node_count: la.node_count.saturating_add(lb.node_count).saturating_add(1),
+                    node_count: la
+                        .node_count
+                        .saturating_add(lb.node_count)
+                        .saturating_add(1),
                     alternation: la
                         .alternation
                         .saturating_add(lb.alternation)
@@ -446,9 +453,8 @@ impl ArenaInner {
     /// Resident bytes of the store: node + metadata + interner entry
     /// per node, identifier table strings, map entries.
     fn bytes(&self) -> u64 {
-        let per_node = mem::size_of::<Node>()
-            + mem::size_of::<NodeMeta>()
-            + mem::size_of::<(Node, u32)>();
+        let per_node =
+            mem::size_of::<Node>() + mem::size_of::<NodeMeta>() + mem::size_of::<(Node, u32)>();
         let ident_bytes: usize = self
             .idents
             .iter()

@@ -253,10 +253,7 @@ mod tests {
     use super::*;
 
     fn v(pairs: &[(&str, u64)]) -> Valuation {
-        pairs
-            .iter()
-            .map(|&(n, x)| (Ident::new(n), x))
-            .collect()
+        pairs.iter().map(|&(n, x)| (Ident::new(n), x)).collect()
     }
 
     #[test]

@@ -567,9 +567,7 @@ mod tests {
     fn strict_binding_rejects_unbound_variables() {
         let e: Expr = "x + y".parse().unwrap();
         let p = EvalProgram::compile(&e);
-        let err = p
-            .eval_valuations(&[v(&[("x", 1)])], 8)
-            .unwrap_err();
+        let err = p.eval_valuations(&[v(&[("x", 1)])], 8).unwrap_err();
         assert_eq!(err.name().as_str(), "y");
     }
 

@@ -21,11 +21,9 @@ pub fn transform_bottom_up(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
     let rebuilt = match e {
         Expr::Const(_) | Expr::Var(_) => e.clone(),
         Expr::Unary(op, inner) => Expr::unary(*op, transform_bottom_up(inner, f)),
-        Expr::Binary(op, a, b) => Expr::binary(
-            *op,
-            transform_bottom_up(a, f),
-            transform_bottom_up(b, f),
-        ),
+        Expr::Binary(op, a, b) => {
+            Expr::binary(*op, transform_bottom_up(a, f), transform_bottom_up(b, f))
+        }
     };
     f(rebuilt)
 }

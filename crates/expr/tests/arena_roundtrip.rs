@@ -61,15 +61,11 @@ fn negated_literal_chains_survive_interning_unfolded() {
     // literal value for the pure-bitwise predicate.
     let neg = |e| Expr::unary(UnOp::Neg, e);
     let cases = [
-        neg(Expr::Const(0)),                        // -0
-        neg(Expr::Const(-1)),                       // - -1
-        neg(neg(Expr::Const(-1))),                  // - - -1
-        neg(neg(neg(Expr::Const(7)))),              // deep chain, non-uniform
-        Expr::binary(
-            BinOp::Xor,
-            neg(neg(Expr::Const(-1))),
-            Expr::var("x"),
-        ),
+        neg(Expr::Const(0)),           // -0
+        neg(Expr::Const(-1)),          // - -1
+        neg(neg(Expr::Const(-1))),     // - - -1
+        neg(neg(neg(Expr::Const(7)))), // deep chain, non-uniform
+        Expr::binary(BinOp::Xor, neg(neg(Expr::Const(-1))), Expr::var("x")),
         Expr::binary(
             BinOp::Or,
             Expr::binary(BinOp::Xor, Expr::Const(-1), Expr::var("x")),

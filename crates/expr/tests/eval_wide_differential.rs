@@ -13,9 +13,7 @@
 //!   must match the corresponding wide row, because bit 0 of modular
 //!   arithmetic never sees a carry.
 
-use mba_expr::{
-    row_bit_pattern, BinOp, EvalProgram, Expr, UnOp, Valuation, WIDE_LANES,
-};
+use mba_expr::{row_bit_pattern, BinOp, EvalProgram, Expr, UnOp, Valuation, WIDE_LANES};
 use proptest::prelude::*;
 
 /// Strategy generating arbitrary MBA expressions over up to 8

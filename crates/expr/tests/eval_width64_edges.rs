@@ -47,7 +47,10 @@ fn width_65_is_rejected_not_wrapped() {
 #[test]
 fn width64_addition_wraps_at_2_pow_64() {
     assert_eq!(eval("x + 1", &[("x", u64::MAX)], 64), 0);
-    assert_eq!(eval("x + y", &[("x", u64::MAX), ("y", u64::MAX)], 64), u64::MAX - 1);
+    assert_eq!(
+        eval("x + y", &[("x", u64::MAX), ("y", u64::MAX)], 64),
+        u64::MAX - 1
+    );
 }
 
 #[test]
@@ -71,8 +74,16 @@ fn width64_negation_is_twos_complement() {
 #[test]
 fn negative_constants_truncate_to_all_ones_at_every_width() {
     for width in [1, 7, 8, 31, 32, 63, 64] {
-        assert_eq!(eval("0 - 1", &[], width), mask(u64::MAX, width), "width {width}");
-        assert_eq!(eval("-1", &[], width), mask(u64::MAX, width), "width {width}");
+        assert_eq!(
+            eval("0 - 1", &[], width),
+            mask(u64::MAX, width),
+            "width {width}"
+        );
+        assert_eq!(
+            eval("-1", &[], width),
+            mask(u64::MAX, width),
+            "width {width}"
+        );
     }
 }
 
@@ -97,14 +108,24 @@ fn i128_constants_truncate_modulo_2_pow_64() {
 #[test]
 fn not_at_width64_flips_all_64_bits() {
     assert_eq!(eval("~x", &[("x", 0)], 64), u64::MAX);
-    assert_eq!(eval("~x", &[("x", 0x5555_5555_5555_5555)], 64), 0xaaaa_aaaa_aaaa_aaaa);
+    assert_eq!(
+        eval("~x", &[("x", 0x5555_5555_5555_5555)], 64),
+        0xaaaa_aaaa_aaaa_aaaa
+    );
 }
 
 #[test]
 fn mba_identities_hold_at_the_width64_boundary() {
     // x + y == (x|y) + (x&y) and ~(x-1) == -x, at the values where
     // 64-bit carries actually occur.
-    let corner = [0u64, 1, u64::MAX, u64::MAX - 1, 1u64 << 63, (1u64 << 63) - 1];
+    let corner = [
+        0u64,
+        1,
+        u64::MAX,
+        u64::MAX - 1,
+        1u64 << 63,
+        (1u64 << 63) - 1,
+    ];
     for &x in &corner {
         for &y in &corner {
             let vals = [("x", x), ("y", y)];

@@ -167,8 +167,7 @@ impl Corpus {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut samples = Vec::with_capacity(config.per_category);
         for i in 0..config.per_category {
-            let sample =
-                Self::generate_one(samples.len(), ObfuscationKind::Residual, i, &mut rng);
+            let sample = Self::generate_one(samples.len(), ObfuscationKind::Residual, i, &mut rng);
             assert!(
                 sample.verify(&mut rng, 6),
                 "generated residual sample failed verification: {sample}"
@@ -178,12 +177,7 @@ impl Corpus {
         Corpus { samples }
     }
 
-    fn generate_one(
-        id: usize,
-        kind: ObfuscationKind,
-        index: usize,
-        rng: &mut StdRng,
-    ) -> Sample {
+    fn generate_one(id: usize, kind: ObfuscationKind, index: usize, rng: &mut StdRng) -> Sample {
         let pool: &[&str] = match kind {
             ObfuscationKind::Polynomial => POLY_TARGETS,
             ObfuscationKind::Residual => RESIDUAL_TARGETS,
@@ -291,7 +285,10 @@ impl Corpus {
             let (Some(kind), Some(truth), Some(obf)) =
                 (fields.next(), fields.next(), fields.next())
             else {
-                return Err(format!("line {}: expected 3 tab-separated fields", lineno + 1));
+                return Err(format!(
+                    "line {}: expected 3 tab-separated fields",
+                    lineno + 1
+                ));
             };
             let kind = match kind {
                 "linear" => ObfuscationKind::Linear,
@@ -408,10 +405,19 @@ mod tests {
 
     #[test]
     fn same_seed_same_corpus() {
-        let a = Corpus::generate(&CorpusConfig { seed: 5, per_category: 4 });
-        let b = Corpus::generate(&CorpusConfig { seed: 5, per_category: 4 });
+        let a = Corpus::generate(&CorpusConfig {
+            seed: 5,
+            per_category: 4,
+        });
+        let b = Corpus::generate(&CorpusConfig {
+            seed: 5,
+            per_category: 4,
+        });
         assert_eq!(a.samples(), b.samples());
-        let c = Corpus::generate(&CorpusConfig { seed: 6, per_category: 4 });
+        let c = Corpus::generate(&CorpusConfig {
+            seed: 6,
+            per_category: 4,
+        });
         assert_ne!(a.samples(), c.samples());
     }
 

@@ -34,7 +34,11 @@ pub fn zero_identity(
     let exprs = random_bitwise_set(rng, vars, depth, num_bitwise_terms);
     let mut columns: Vec<Vec<i128>> = Vec::with_capacity(exprs.len() + 1);
     for e in &exprs {
-        columns.push(TruthTable::of(e, vars).expect("bitwise by construction").column());
+        columns.push(
+            TruthTable::of(e, vars)
+                .expect("bitwise by construction")
+                .column(),
+        );
     }
     // The −1 column (all ones) keeps constants expressible.
     columns.push(vec![1; 1 << vars.len()]);

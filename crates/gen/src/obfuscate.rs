@@ -11,9 +11,7 @@ use crate::identities::{obfuscate_linear, zero_identity};
 /// Mask palette for semi-linear obfuscation. None of these is uniform
 /// (all-zeros / all-ones) modulo any supported width ≥ 8, so wrapping a
 /// factor with one always leaves the pure-bitwise fragment.
-pub const SEMI_LINEAR_MASKS: &[i128] = &[
-    3, 5, 6, 9, 10, 12, 0x0f, 0x33, 0x55, 0x66, 0x99, 0xcc,
-];
+pub const SEMI_LINEAR_MASKS: &[i128] = &[3, 5, 6, 9, 10, 12, 0x0f, 0x33, 0x55, 0x66, 0x99, 0xcc];
 
 /// Which MBA category the obfuscated output should land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -130,11 +128,7 @@ impl Obfuscator {
         let mut out = target.clone();
         for _ in 0..rng.gen_range(1..=2u32) {
             let q = parity_seed(&vars, rng);
-            let z = Expr::binary(
-                BinOp::And,
-                q.clone() * (q + Expr::one()),
-                Expr::one(),
-            );
+            let z = Expr::binary(BinOp::And, q.clone() * (q + Expr::one()), Expr::one());
             out = match rng.gen_range(0..3u32) {
                 0 => out + z,
                 1 => out ^ z,
@@ -279,9 +273,7 @@ impl Obfuscator {
     fn non_poly(&self, target: &Expr, rng: &mut impl Rng) -> Expr {
         // Seed with a linear obfuscation when possible so the arithmetic
         // operands the rules wrap are themselves MBA.
-        let mut current = self
-            .linear(target, rng)
-            .unwrap_or_else(|| target.clone());
+        let mut current = self.linear(target, rng).unwrap_or_else(|| target.clone());
         for _ in 0..self.config.rewrite_rounds {
             current = rewrite_random_node(&current, rng);
         }
@@ -292,10 +284,7 @@ impl Obfuscator {
             if current.mba_class() != MbaClass::NonPolynomial {
                 // e = ¬(−e − 1) always leaves Definition 2 when e has any
                 // arithmetic.
-                current = Expr::unary(
-                    UnOp::Not,
-                    Expr::binary(BinOp::Sub, -current, Expr::one()),
-                );
+                current = Expr::unary(UnOp::Not, Expr::binary(BinOp::Sub, -current, Expr::one()));
             }
         }
         current
@@ -330,8 +319,7 @@ fn split_products(e: &Expr, rng: &mut impl Rng) -> Expr {
             if a.is_pure_bitwise() && b.is_pure_bitwise() && rng.gen_bool(0.8) =>
         {
             let (a, b) = (*a, *b);
-            (a.clone() & b.clone()) * (a.clone() | b.clone())
-                + (a.clone() & !b.clone()) * (!a & b)
+            (a.clone() & b.clone()) * (a.clone() | b.clone()) + (a.clone() & !b.clone()) * (!a & b)
         }
         other => other,
     })
@@ -343,10 +331,7 @@ fn apply_rule(e: &Expr, position: usize, rng: &mut impl Rng) -> (Expr, bool) {
     let mut seen = 0usize;
     let mut applied = false;
     let out = mba_expr::visit::transform_bottom_up(e, &mut |node| {
-        let eligible = matches!(
-            node,
-            Expr::Binary(BinOp::Add | BinOp::Sub | BinOp::Mul, ..)
-        );
+        let eligible = matches!(node, Expr::Binary(BinOp::Add | BinOp::Sub | BinOp::Mul, ..));
         if !eligible || applied {
             return node;
         }
@@ -524,8 +509,16 @@ mod tests {
     fn residual_determinism_per_seed() {
         let ob = Obfuscator::new();
         let target: Expr = "x+y".parse().unwrap();
-        let a = ob.obfuscate(&target, ObfuscationKind::Residual, &mut StdRng::seed_from_u64(9));
-        let b = ob.obfuscate(&target, ObfuscationKind::Residual, &mut StdRng::seed_from_u64(9));
+        let a = ob.obfuscate(
+            &target,
+            ObfuscationKind::Residual,
+            &mut StdRng::seed_from_u64(9),
+        );
+        let b = ob.obfuscate(
+            &target,
+            ObfuscationKind::Residual,
+            &mut StdRng::seed_from_u64(9),
+        );
         assert_eq!(a, b);
     }
 
@@ -572,8 +565,16 @@ mod tests {
     fn determinism_per_seed() {
         let ob = Obfuscator::new();
         let target: Expr = "x+y".parse().unwrap();
-        let a = ob.obfuscate(&target, ObfuscationKind::NonPolynomial, &mut StdRng::seed_from_u64(1));
-        let b = ob.obfuscate(&target, ObfuscationKind::NonPolynomial, &mut StdRng::seed_from_u64(1));
+        let a = ob.obfuscate(
+            &target,
+            ObfuscationKind::NonPolynomial,
+            &mut StdRng::seed_from_u64(1),
+        );
+        let b = ob.obfuscate(
+            &target,
+            ObfuscationKind::NonPolynomial,
+            &mut StdRng::seed_from_u64(1),
+        );
         assert_eq!(a, b);
     }
 }

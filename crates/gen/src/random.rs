@@ -94,12 +94,7 @@ pub fn random_expr(rng: &mut impl Rng, config: &RandomExprConfig) -> Expr {
     gen_node(rng, config, &vars, config.max_depth)
 }
 
-fn gen_node(
-    rng: &mut impl Rng,
-    config: &RandomExprConfig,
-    vars: &[Ident],
-    depth: usize,
-) -> Expr {
+fn gen_node(rng: &mut impl Rng, config: &RandomExprConfig, vars: &[Ident], depth: usize) -> Expr {
     if depth == 0 {
         return gen_leaf(rng, config, vars);
     }
@@ -257,7 +252,10 @@ mod tests {
         // directly above a constant only at the top).
         let printed = a.to_string();
         let reparsed: Expr = printed.parse().expect("printed form parses");
-        let v = mba_expr::Valuation::new().with("x", 0xdead).with("y", 7).with("z", 123);
+        let v = mba_expr::Valuation::new()
+            .with("x", 0xdead)
+            .with("y", 7)
+            .with("z", 123);
         assert_eq!(a.eval(&v, 64), reparsed.eval(&v, 64));
     }
 
@@ -299,7 +297,10 @@ mod tests {
                 }
             });
         }
-        assert!(masked > 20, "only {masked} masked bitwise nodes in 100 trees");
+        assert!(
+            masked > 20,
+            "only {masked} masked bitwise nodes in 100 trees"
+        );
     }
 
     #[test]

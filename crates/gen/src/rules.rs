@@ -34,17 +34,57 @@ impl RewriteRule {
 /// `(name, source, lhs, rhs)` catalog rows; parsed once by [`catalog`].
 const ROWS: &[(&str, &str, &str, &str)] = &[
     // §2.2: the paper's four x + y encodings.
-    ("add-via-or-notor", "paper §2.2", "a + b", "(a | b) + (~a | b) - ~a"),
-    ("add-via-or-andnot", "paper §2.2", "a + b", "(a | b) + b - (~a & b)"),
-    ("add-via-xor-2b", "paper §2.2", "a + b", "(a ^ b) + 2*b - 2*(~a & b)"),
-    ("add-via-minterms", "paper §2.2", "a + b", "b + (a & ~b) + (a & b)"),
+    (
+        "add-via-or-notor",
+        "paper §2.2",
+        "a + b",
+        "(a | b) + (~a | b) - ~a",
+    ),
+    (
+        "add-via-or-andnot",
+        "paper §2.2",
+        "a + b",
+        "(a | b) + b - (~a & b)",
+    ),
+    (
+        "add-via-xor-2b",
+        "paper §2.2",
+        "a + b",
+        "(a ^ b) + 2*b - 2*(~a & b)",
+    ),
+    (
+        "add-via-minterms",
+        "paper §2.2",
+        "a + b",
+        "b + (a & ~b) + (a & b)",
+    ),
     // HAKMEM / Hacker's Delight classics (equations (2) and (3) and kin).
     ("or-via-andnot", "HAKMEM", "a | b", "(a & ~b) + b"),
     ("xor-via-or-and", "HAKMEM", "a ^ b", "(a | b) - (a & b)"),
-    ("add-via-or-and", "Hacker's Delight", "a + b", "(a | b) + (a & b)"),
-    ("add-via-xor-and", "Hacker's Delight", "a + b", "(a ^ b) + 2*(a & b)"),
-    ("sub-via-xor", "Hacker's Delight", "a - b", "(a ^ b) - 2*(~a & b)"),
-    ("sub-via-example1", "paper §2.1 Example 1", "a - b", "(a ^ b) + 2*(a | ~b) + 2"),
+    (
+        "add-via-or-and",
+        "Hacker's Delight",
+        "a + b",
+        "(a | b) + (a & b)",
+    ),
+    (
+        "add-via-xor-and",
+        "Hacker's Delight",
+        "a + b",
+        "(a ^ b) + 2*(a & b)",
+    ),
+    (
+        "sub-via-xor",
+        "Hacker's Delight",
+        "a - b",
+        "(a ^ b) - 2*(~a & b)",
+    ),
+    (
+        "sub-via-example1",
+        "paper §2.1 Example 1",
+        "a - b",
+        "(a ^ b) + 2*(a | ~b) + 2",
+    ),
     ("and-via-or", "Table 9 basis", "a & b", "a + b - (a | b)"),
     ("or-via-and", "Table 4 basis", "a | b", "a + b - (a & b)"),
     ("xor-via-and", "Table 5", "a ^ b", "a + b - 2*(a & b)"),
@@ -97,9 +137,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x0CA7_A106);
         for rule in catalog() {
             for _ in 0..32 {
-                let v = Valuation::new()
-                    .with("a", rng.gen())
-                    .with("b", rng.gen());
+                let v = Valuation::new().with("a", rng.gen()).with("b", rng.gen());
                 for w in [1u32, 8, 17, 64] {
                     assert_eq!(
                         rule.lhs.eval(&v, w),
@@ -170,7 +208,12 @@ mod tests {
                 rule.rhs
             );
             // And classification is sensible.
-            assert_ne!(rule.rhs.mba_class(), MbaClass::NonPolynomial, "{}", rule.name);
+            assert_ne!(
+                rule.rhs.mba_class(),
+                MbaClass::NonPolynomial,
+                "{}",
+                rule.name
+            );
         }
     }
 

@@ -136,9 +136,15 @@ impl Add for Rational {
         Rational::new(
             self.num
                 .checked_mul(lhs_scale)
-                .and_then(|a| rhs.num.checked_mul(rhs_scale).and_then(|b| a.checked_add(b)))
+                .and_then(|a| {
+                    rhs.num
+                        .checked_mul(rhs_scale)
+                        .and_then(|b| a.checked_add(b))
+                })
                 .expect("rational addition overflow"),
-            self.den.checked_mul(lhs_scale).expect("rational addition overflow"),
+            self.den
+                .checked_mul(lhs_scale)
+                .expect("rational addition overflow"),
         )
     }
 }

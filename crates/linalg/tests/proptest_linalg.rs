@@ -6,11 +6,8 @@ use proptest::prelude::*;
 
 fn arb_matrix() -> impl Strategy<Value = Matrix> {
     (1usize..=5, 1usize..=5).prop_flat_map(|(rows, cols)| {
-        proptest::collection::vec(
-            proptest::collection::vec(-4i128..=4, cols),
-            rows,
-        )
-        .prop_map(|rows| Matrix::from_i128_rows(&rows))
+        proptest::collection::vec(proptest::collection::vec(-4i128..=4, cols), rows)
+            .prop_map(|rows| Matrix::from_i128_rows(&rows))
     })
 }
 

@@ -162,9 +162,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let hex =
                             std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
                         let code = u32::from_str_radix(hex, 16)
@@ -313,8 +311,18 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "}", "{\"a\"}", "{\"a\":}", "[1,]", "{\"a\":1,}", "tru", "\"open",
-            "{\"a\":1} trailing", "{'a':1}", "{\"a\":01x}",
+            "",
+            "{",
+            "}",
+            "{\"a\"}",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\":1,}",
+            "tru",
+            "\"open",
+            "{\"a\":1} trailing",
+            "{'a':1}",
+            "{\"a\":01x}",
         ] {
             assert!(parse_json(bad).is_err(), "`{bad}` should not parse");
         }
@@ -324,7 +332,14 @@ mod tests {
     fn rejects_non_finite_number_tokens() {
         // JSON has no spelling for non-finite numbers; a writer that
         // leaks one produces an unparseable file, never a silent NaN.
-        for bad in ["NaN", "Infinity", "-Infinity", "inf", "{\"x\":NaN}", "{\"x\":inf}"] {
+        for bad in [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "inf",
+            "{\"x\":NaN}",
+            "{\"x\":inf}",
+        ] {
             assert!(parse_json(bad).is_err(), "`{bad}` should not parse");
         }
     }

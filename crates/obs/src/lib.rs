@@ -49,7 +49,7 @@ mod metrics;
 mod snapshot;
 
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, MetricsRegistry, OwnedSpan,
-    Span, HISTOGRAM_BUCKETS,
+    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, MetricsRegistry, OwnedSpan, Span,
+    HISTOGRAM_BUCKETS,
 };
 pub use snapshot::{HistogramSnapshot, Snapshot};

@@ -168,9 +168,15 @@ impl Snapshot {
     /// snapshots render byte-identically.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
-        push_entries(&mut out, self.counters.iter().map(|(k, v)| (k, v.to_string())));
+        push_entries(
+            &mut out,
+            self.counters.iter().map(|(k, v)| (k, v.to_string())),
+        );
         out.push_str("},\"gauges\":{");
-        push_entries(&mut out, self.gauges.iter().map(|(k, v)| (k, v.to_string())));
+        push_entries(
+            &mut out,
+            self.gauges.iter().map(|(k, v)| (k, v.to_string())),
+        );
         out.push_str("},\"histograms\":{");
         push_entries(
             &mut out,
@@ -254,7 +260,11 @@ mod tests {
         let delta = reg.snapshot().since(&before);
         assert_eq!(delta.counter("core.result.exprs"), 10);
         assert_eq!(delta.counter("serve.error.parse"), 0);
-        assert_eq!(delta.gauge("serve.queue.depth"), 1, "gauges are point-in-time");
+        assert_eq!(
+            delta.gauge("serve.queue.depth"),
+            1,
+            "gauges are point-in-time"
+        );
         let h = delta.histogram("core.stage.signature.micros").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 7);

@@ -210,7 +210,10 @@ impl Solver {
 
     /// Number of problem (non-learnt) clauses added.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.learnt && !c.deleted).count()
+        self.clauses
+            .iter()
+            .filter(|c| !c.learnt && !c.deleted)
+            .count()
     }
 
     /// Cumulative statistics.
@@ -498,9 +501,7 @@ impl Solver {
         } else {
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.level[learnt[i].var() as usize]
-                    > self.level[learnt[max_i].var() as usize]
-                {
+                if self.level[learnt[i].var() as usize] > self.level[learnt[max_i].var() as usize] {
                     max_i = i;
                 }
             }
@@ -521,16 +522,15 @@ impl Solver {
         if r == UNDEF_CLAUSE {
             return false;
         }
-        self.clauses[r as usize].lits.iter().skip(1).all(|&q| {
-            self.seen[q.var() as usize] || self.level[q.var() as usize] == 0
-        })
+        self.clauses[r as usize]
+            .lits
+            .iter()
+            .skip(1)
+            .all(|&q| self.seen[q.var() as usize] || self.level[q.var() as usize] == 0)
     }
 
     fn lbd_of(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var() as usize])
-            .collect();
+        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var() as usize]).collect();
         levels.sort_unstable();
         levels.dedup();
         levels.len() as u32
@@ -644,7 +644,10 @@ impl Solver {
                 continue;
             }
             let live = |clauses: &Vec<Clause>, list: &[usize]| -> Vec<usize> {
-                list.iter().copied().filter(|&i| !clauses[i].deleted).collect()
+                list.iter()
+                    .copied()
+                    .filter(|&i| !clauses[i].deleted)
+                    .collect()
             };
             let pos = live(&self.clauses, &occ[Lit::positive(v).index()]);
             let neg = live(&self.clauses, &occ[Lit::negative(v).index()]);
@@ -738,9 +741,9 @@ impl Solver {
                 if !clause.contains(&Lit::positive(v)) {
                     continue;
                 }
-                let satisfied_by_rest = clause.iter().any(|&l| {
-                    l.var() != v && self.lit_value(l) == Some(true)
-                });
+                let satisfied_by_rest = clause
+                    .iter()
+                    .any(|&l| l.var() != v && self.lit_value(l) == Some(true));
                 if !satisfied_by_rest {
                     value = true;
                     break;
@@ -936,10 +939,7 @@ mod tests {
     #[test]
     fn xor_chain_sat_model_is_consistent() {
         // x1 ⊕ x2 = 1, x2 ⊕ x3 = 1 encoded in CNF.
-        let (mut s, vars) = build(
-            3,
-            &[&[1, 2], &[-1, -2], &[2, 3], &[-2, -3]],
-        );
+        let (mut s, vars) = build(3, &[&[1, 2], &[-1, -2], &[2, 3], &[-2, -3]]);
         assert_eq!(s.solve(), SolveResult::Sat);
         let m: Vec<bool> = vars.iter().map(|&v| s.value(v).unwrap()).collect();
         assert_ne!(m[0], m[1]);

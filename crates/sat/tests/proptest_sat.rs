@@ -16,11 +16,8 @@ fn arb_cnf(max_vars: usize) -> impl Strategy<Value = (usize, Cnf)> {
 
 fn brute_force_sat(n: usize, cnf: &Cnf) -> bool {
     (0u32..(1 << n)).any(|m| {
-        cnf.iter().all(|clause| {
-            clause
-                .iter()
-                .any(|&(v, pos)| ((m >> v) & 1 == 1) == pos)
-        })
+        cnf.iter()
+            .all(|clause| clause.iter().any(|&(v, pos)| ((m >> v) & 1 == 1) == pos))
     })
 }
 
@@ -37,7 +34,10 @@ fn run_solver_cfg(
     s.set_preprocessing(preprocess);
     let vars: Vec<_> = (0..n).map(|_| s.new_var()).collect();
     for clause in cnf {
-        let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| Lit::new(vars[v], pos)).collect();
+        let lits: Vec<Lit> = clause
+            .iter()
+            .map(|&(v, pos)| Lit::new(vars[v], pos))
+            .collect();
         s.add_clause(&lits);
     }
     let r = s.solve();

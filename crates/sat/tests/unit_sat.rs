@@ -88,7 +88,9 @@ fn implication_chain_unsat() {
 fn pigeonhole_3_2() -> (Solver, Vec<u32>) {
     let mut s = Solver::new();
     // p[i][j] = pigeon i sits in hole j.
-    let p: Vec<Vec<u32>> = (0..3).map(|_| (0..2).map(|_| s.new_var()).collect()).collect();
+    let p: Vec<Vec<u32>> = (0..3)
+        .map(|_| (0..2).map(|_| s.new_var()).collect())
+        .collect();
     for row in &p {
         s.add_clause(&[pos(row[0]), pos(row[1])]); // every pigeon has a hole
     }
@@ -154,7 +156,11 @@ fn dimacs_rendering_is_exact() {
 /// original on satisfiability (both polarity conventions exercised).
 #[test]
 fn dimacs_roundtrip_preserves_satisfiability() {
-    let sat_clauses = vec![vec![pos(0), pos(1)], vec![neg(0), pos(1)], vec![pos(0), neg(1)]];
+    let sat_clauses = vec![
+        vec![pos(0), pos(1)],
+        vec![neg(0), pos(1)],
+        vec![pos(0), neg(1)],
+    ];
     let unsat_clauses = vec![
         vec![pos(0), pos(1)],
         vec![pos(0), neg(1)],

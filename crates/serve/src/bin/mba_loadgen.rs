@@ -100,7 +100,8 @@ fn parse_args(args: &[String]) -> Result<LoadConfig, String> {
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut take = |name: &str| -> Result<&String, String> {
-            iter.next().ok_or_else(|| format!("{name} requires a value\n{}", usage()))
+            iter.next()
+                .ok_or_else(|| format!("{name} requires a value\n{}", usage()))
         };
         match flag.as_str() {
             "--addr" => config.addr = take("--addr")?.clone(),
@@ -173,7 +174,12 @@ struct Sample {
 /// Renders one simplify request, byte-compatible with
 /// [`Client::simplify`].
 fn encode_request(id: u64, expr: &str, width: u32, deadline_ms: Option<u64>) -> String {
-    let mut line = format!("{{\"id\":{},\"expr\":\"{}\",\"width\":{}", id, json_escape(expr), width);
+    let mut line = format!(
+        "{{\"id\":{},\"expr\":\"{}\",\"width\":{}",
+        id,
+        json_escape(expr),
+        width
+    );
     if let Some(d) = deadline_ms {
         line.push_str(&format!(",\"deadline_ms\":{d}"));
     }
@@ -206,8 +212,7 @@ fn run_closed(config: &LoadConfig, exprs: &[String]) -> (Vec<Sample>, u64, Durat
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(expr) = exprs.get(i) else { break };
                         let sent = Instant::now();
-                        match client.simplify(i as u64, expr, config.width, config.deadline_ms)
-                        {
+                        match client.simplify(i as u64, expr, config.width, config.deadline_ms) {
                             Ok(response) => {
                                 let latency = sent.elapsed();
                                 let mismatched = response.id() != Some(i as u64);
@@ -317,9 +322,7 @@ fn run_open(config: &LoadConfig, exprs: &[String]) -> Result<(Vec<Sample>, u64, 
     let mut accounted = 0usize;
     let mut transport_errors = 0u64;
     let mut samples: Vec<Sample> = Vec::with_capacity(n);
-    let deadline = start
-        + Duration::from_secs_f64(n as f64 / config.rate)
-        + OPEN_LOOP_GRACE;
+    let deadline = start + Duration::from_secs_f64(n as f64 / config.rate) + OPEN_LOOP_GRACE;
 
     while accounted < n {
         let now = Instant::now();
@@ -380,13 +383,7 @@ fn run_open(config: &LoadConfig, exprs: &[String]) -> Result<(Vec<Sample>, u64, 
                 flush_open(conn);
             }
             if event.is_readable() {
-                read_open(
-                    conn,
-                    start,
-                    &due_micros,
-                    &mut samples,
-                    &mut accounted,
-                );
+                read_open(conn, start, &due_micros, &mut samples, &mut accounted);
             }
             if conn.dead || (event.is_read_closed() && conn.outstanding > 0) {
                 conn.dead = true;
@@ -470,13 +467,13 @@ fn read_open(
         };
         let field = |name: &str| json.as_obj().and_then(|o| o.get(name).cloned());
         let id = field("id").and_then(|j| j.as_u64());
-        let latency = id.map_or(0, |id| {
-            completed_at.saturating_sub(due_micros(id as usize))
-        });
+        let latency = id.map_or(0, |id| completed_at.saturating_sub(due_micros(id as usize)));
         samples.push(Sample {
             completed_at_micros: completed_at,
             latency_micros: latency,
-            cache_hit_rate: field("cache_hit_rate").and_then(|j| j.as_num()).unwrap_or(0.0),
+            cache_hit_rate: field("cache_hit_rate")
+                .and_then(|j| j.as_num())
+                .unwrap_or(0.0),
             error: field("error")
                 .and_then(|j| j.as_str().map(str::to_string))
                 .or_else(|| id.is_none().then(|| "missing_id".into())),
@@ -577,9 +574,8 @@ fn main() -> ExitCode {
     let mut by_completion: Vec<&Sample> = samples.iter().collect();
     by_completion.sort_by_key(|s| s.completed_at_micros);
     let mid = by_completion.len() / 2;
-    let half_rate = |half: &[&Sample]| {
-        mba_bench::report::mean(half.iter().map(|s| s.cache_hit_rate))
-    };
+    let half_rate =
+        |half: &[&Sample]| mba_bench::report::mean(half.iter().map(|s| s.cache_hit_rate));
     let (first_half, second_half) = by_completion.split_at(mid);
     let rate_first = half_rate(first_half);
     let rate_second = half_rate(second_half);
@@ -591,11 +587,13 @@ fn main() -> ExitCode {
         wall.as_secs_f64(),
         throughput,
         config.concurrency,
-        if config.mode == LoadMode::Open { "open" } else { "closed" },
+        if config.mode == LoadMode::Open {
+            "open"
+        } else {
+            "closed"
+        },
     );
-    println!(
-        "latency micros: p50={p50:.0} p95={p95:.0} p99={p99:.0} mean={mean:.0}"
-    );
+    println!("latency micros: p50={p50:.0} p95={p95:.0} p99={p99:.0} mean={mean:.0}");
     println!(
         "errors: {error_responses} (overloaded: {overload_responses}, transport: {transport_errors})"
     );
@@ -689,7 +687,11 @@ fn main() -> ExitCode {
         .push_bool("open_loop", config.mode == LoadMode::Open)
         .push_float(
             "target_rate_rps",
-            if config.mode == LoadMode::Open { config.rate } else { 0.0 },
+            if config.mode == LoadMode::Open {
+                config.rate
+            } else {
+                0.0
+            },
         )
         .push_int("seed", config.seed)
         .push_int("width", u64::from(config.width))

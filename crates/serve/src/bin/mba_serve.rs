@@ -32,7 +32,8 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut take = |name: &str| -> Result<&String, String> {
-            iter.next().ok_or_else(|| format!("{name} requires a value\n{}", usage()))
+            iter.next()
+                .ok_or_else(|| format!("{name} requires a value\n{}", usage()))
         };
         match flag.as_str() {
             "--addr" => config.addr = take("--addr")?.clone(),

@@ -154,8 +154,8 @@ impl ProtocolError {
 /// Returns a [`ProtocolError`] (`parse` or `invalid`) describing the
 /// first problem found; the caller answers it and keeps the connection.
 pub fn decode_line(line: &str) -> Result<ClientMessage, ProtocolError> {
-    let json = parse_json(line.trim())
-        .map_err(|e| ProtocolError::new(None, ErrorCode::Parse, e))?;
+    let json =
+        parse_json(line.trim()).map_err(|e| ProtocolError::new(None, ErrorCode::Parse, e))?;
     let obj = json.as_obj().ok_or_else(|| {
         ProtocolError::new(None, ErrorCode::Invalid, "request must be a JSON object")
     })?;
@@ -193,16 +193,13 @@ pub fn decode_line(line: &str) -> Result<ClientMessage, ProtocolError> {
         return Ok(ClientMessage::Control(control, id));
     }
 
-    let id = id.ok_or_else(|| {
-        ProtocolError::new(None, ErrorCode::Invalid, "missing `id` field")
-    })?;
+    let id =
+        id.ok_or_else(|| ProtocolError::new(None, ErrorCode::Invalid, "missing `id` field"))?;
     let expr = obj
         .get("expr")
         .ok_or_else(|| ProtocolError::new(Some(id), ErrorCode::Invalid, "missing `expr` field"))?
         .as_str()
-        .ok_or_else(|| {
-            ProtocolError::new(Some(id), ErrorCode::Invalid, "`expr` must be a string")
-        })?
+        .ok_or_else(|| ProtocolError::new(Some(id), ErrorCode::Invalid, "`expr` must be a string"))?
         .to_string();
     let width = match obj.get("width") {
         None => 64,
@@ -322,10 +319,8 @@ mod tests {
 
     #[test]
     fn decode_full_request() {
-        let m = decode_line(
-            r#"{"id": 3, "expr": "x + y", "width": 16, "deadline_ms": 100}"#,
-        )
-        .unwrap();
+        let m =
+            decode_line(r#"{"id": 3, "expr": "x + y", "width": 16, "deadline_ms": 100}"#).unwrap();
         assert_eq!(
             m,
             ClientMessage::Simplify(Request {
@@ -441,9 +436,6 @@ mod tests {
         let hostile = "a\"b\\c\nd\te\r\u{1}";
         let line = render_error(&ProtocolError::new(None, ErrorCode::Parse, hostile));
         let parsed = parse_json(&line).unwrap();
-        assert_eq!(
-            parsed.as_obj().unwrap()["detail"].as_str(),
-            Some(hostile)
-        );
+        assert_eq!(parsed.as_obj().unwrap()["detail"].as_str(), Some(hostile));
     }
 }

@@ -330,9 +330,7 @@ mod tests {
                 "round {round}: accepted items lost or duplicated"
             );
             assert!(
-                consumed_flags
-                    .iter()
-                    .all(|f| f.load(Ordering::SeqCst) <= 1),
+                consumed_flags.iter().all(|f| f.load(Ordering::SeqCst) <= 1),
                 "round {round}: an item was consumed twice"
             );
             assert!(q.is_empty(), "round {round}: backlog left behind");

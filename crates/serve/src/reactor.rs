@@ -162,7 +162,11 @@ impl ConnHandle {
 
 /// Writes from `data` until done, `WouldBlock`, or the test-only chunk
 /// limit; returns bytes written, or `Err` on a hard I/O error.
-fn write_some(mut stream: &TcpStream, data: &[u8], chunk_limit: Option<usize>) -> Result<usize, ()> {
+fn write_some(
+    mut stream: &TcpStream,
+    data: &[u8],
+    chunk_limit: Option<usize>,
+) -> Result<usize, ()> {
     let mut written = 0;
     while written < data.len() {
         let end = match chunk_limit {
@@ -337,7 +341,10 @@ impl Reactor {
                         read_closed: false,
                         registered: None,
                     };
-                    if self.set_interest(&mut conn, Some(Interest::READABLE)).is_err() {
+                    if self
+                        .set_interest(&mut conn, Some(Interest::READABLE))
+                        .is_err()
+                    {
                         self.free.push(slot);
                         continue;
                     }
@@ -448,7 +455,9 @@ impl Reactor {
 
     /// Reads one bounded burst and processes every completed line.
     fn read_slot(&mut self, slot: usize) {
-        let Some(conn) = &mut self.slab[slot] else { return };
+        let Some(conn) = &mut self.slab[slot] else {
+            return;
+        };
         let handle = Arc::clone(&conn.handle);
         let mut scratch = [0u8; 4096];
         let mut total = 0;
@@ -460,7 +469,9 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
-                    let Some(conn) = &mut self.slab[slot] else { return };
+                    let Some(conn) = &mut self.slab[slot] else {
+                        return;
+                    };
                     conn.read_buf.extend_from_slice(&scratch[..n]);
                     total += n;
                     if total >= READ_BURST_BYTES {
@@ -500,7 +511,9 @@ impl Reactor {
     /// rest of the buffer is discarded).
     fn process_lines(&mut self, slot: usize) -> bool {
         loop {
-            let Some(conn) = &mut self.slab[slot] else { return false };
+            let Some(conn) = &mut self.slab[slot] else {
+                return false;
+            };
             match conn.read_buf[conn.scan_from..]
                 .iter()
                 .position(|&b| b == b'\n')
@@ -530,7 +543,9 @@ impl Reactor {
                         // next newline resyncs the stream.
                         let handle = Arc::clone(&conn.handle);
                         self.reject_oversized(&handle);
-                        let Some(conn) = &mut self.slab[slot] else { return false };
+                        let Some(conn) = &mut self.slab[slot] else {
+                            return false;
+                        };
                         conn.discarding = true;
                         conn.read_buf.clear();
                         conn.scan_from = 0;
@@ -661,14 +676,19 @@ impl Reactor {
                 continue;
             }
             let bytes: Vec<u8> = pending.buf.iter().copied().collect();
-            let _ = (&handle.stream).write_all(&bytes).and_then(|()| (&handle.stream).flush());
+            let _ = (&handle.stream)
+                .write_all(&bytes)
+                .and_then(|()| (&handle.stream).flush());
             pending.buf.clear();
         }
         for conn in self.slab.iter().flatten() {
             // Remaining sockets switch to blocking so the acks below
             // (and nothing else) write synchronously.
             let _ = conn.handle.stream.set_nonblocking(false);
-            let _ = conn.handle.stream.set_write_timeout(Some(FINAL_FLUSH_TIMEOUT));
+            let _ = conn
+                .handle
+                .stream
+                .set_write_timeout(Some(FINAL_FLUSH_TIMEOUT));
         }
         let ackers = std::mem::take(&mut *lock(self.state.ackers()));
         let drained = self.state.counters.served.get();

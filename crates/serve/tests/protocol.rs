@@ -110,9 +110,9 @@ fn table_driven_bad_lines_get_error_responses_and_connection_survives() {
     let (mut client, handle) = harness(ServerConfig::default());
     for case in &cases {
         client.send_raw(case.line).unwrap();
-        let response = client.recv().unwrap_or_else(|e| {
-            panic!("[{}] no response: {e}", case.name)
-        });
+        let response = client
+            .recv()
+            .unwrap_or_else(|e| panic!("[{}] no response: {e}", case.name));
         assert_eq!(
             response.error(),
             Some(case.expect_code),

@@ -44,7 +44,9 @@ fn slow_loris_byte_at_a_time_is_buffered_not_blocking() {
         if i % 16 == 0 {
             // Interleave full requests from another connection: the
             // drip must not stall them.
-            let reply = fast.simplify(i as u64, "x ^ x", 64, None).expect("fast request");
+            let reply = fast
+                .simplify(i as u64, "x ^ x", 64, None)
+                .expect("fast request");
             assert_eq!(reply.str_field("simplified"), Some("0"));
         }
     }
@@ -230,7 +232,9 @@ fn final_unterminated_line_is_served_after_eof() {
         .write_all(b"{\"id\":3,\"expr\":\"x | x\",\"width\":64}")
         .expect("request without newline");
     stream.flush().expect("flush");
-    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
     let mut reply = String::new();
     stream.read_to_string(&mut reply).expect("read reply");
     assert!(

@@ -72,11 +72,11 @@ impl Catalog {
         let mut by_cost: Vec<Vec<u64>> = vec![Vec::new(); 2];
 
         let insert = |mask: u64,
-                          cost: usize,
-                          expr: Expr,
-                          exprs: &mut Vec<Option<Expr>>,
-                          costs: &mut Vec<usize>,
-                          by_cost: &mut Vec<Vec<u64>>|
+                      cost: usize,
+                      expr: Expr,
+                      exprs: &mut Vec<Option<Expr>>,
+                      costs: &mut Vec<usize>,
+                      by_cost: &mut Vec<Vec<u64>>|
          -> bool {
             let idx = mask as usize;
             if costs[idx] <= cost {
@@ -99,7 +99,14 @@ impl Catalog {
                     mask |= 1 << r;
                 }
             }
-            insert(mask, 1, Expr::var(v.clone()), &mut exprs, &mut costs, &mut by_cost);
+            insert(
+                mask,
+                1,
+                Expr::var(v.clone()),
+                &mut exprs,
+                &mut costs,
+                &mut by_cost,
+            );
         }
         insert(0, 1, Expr::zero(), &mut exprs, &mut costs, &mut by_cost);
         insert(
@@ -238,7 +245,10 @@ mod tests {
         let c = Catalog::build(&vars2());
         for mask in 0u64..16 {
             let tt = TruthTable::from_bits(2, mask);
-            assert!(c.minimal_expr(&tt).is_some(), "missing function {mask:#06b}");
+            assert!(
+                c.minimal_expr(&tt).is_some(),
+                "missing function {mask:#06b}"
+            );
         }
     }
 
@@ -247,7 +257,10 @@ mod tests {
         let c = Catalog::build(&vars3());
         for mask in 0u64..256 {
             let tt = TruthTable::from_bits(3, mask);
-            assert!(c.minimal_expr(&tt).is_some(), "missing function {mask:#010b}");
+            assert!(
+                c.minimal_expr(&tt).is_some(),
+                "missing function {mask:#010b}"
+            );
         }
     }
 

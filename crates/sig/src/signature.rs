@@ -235,7 +235,12 @@ impl SignatureVector {
         if self.num_vars > TruthTable::PACKED_MAX_VARS {
             return None;
         }
-        let c = self.components.iter().copied().find(|&v| v != 0).unwrap_or(0);
+        let c = self
+            .components
+            .iter()
+            .copied()
+            .find(|&v| v != 0)
+            .unwrap_or(0);
         let mut bits = 0u64;
         for (r, &v) in self.components.iter().enumerate() {
             if v == c && c != 0 {

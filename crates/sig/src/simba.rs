@@ -44,11 +44,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mba_expr::{mask, Expr, Ident, EvalProgram};
+use mba_expr::{mask, EvalProgram, Expr, Ident};
 
+use crate::basis::linear_combination;
 use crate::signature::{and_of_subset, subset_sort_key};
 use crate::truth::TruthTable;
-use crate::basis::linear_combination;
 
 static ATTEMPTS: AtomicU64 = AtomicU64::new(0);
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -148,7 +148,9 @@ pub fn publish_simba_metrics(registry: &mba_obs::MetricsRegistry) {
     registry.gauge("simba.attempts").set(s.attempts as i64);
     registry.gauge("simba.hits").set(s.hits as i64);
     registry.gauge("simba.fallbacks").set(s.fallbacks as i64);
-    registry.gauge("simba.semi.attempts").set(s.semi_attempts as i64);
+    registry
+        .gauge("simba.semi.attempts")
+        .set(s.semi_attempts as i64);
     registry.gauge("simba.semi.hits").set(s.semi_hits as i64);
     registry
         .gauge("simba.semi.fallbacks")
@@ -334,14 +336,9 @@ pub fn recover_coefficients_program(
     let mut coeffs = sig;
     moebius(&mut coeffs);
     for k in 0..2u64 {
-        let values: Vec<u64> = (0..vars.len())
-            .map(|j| probe_value(k, j as u64))
-            .collect();
-        let valuation: mba_expr::Valuation = vars
-            .iter()
-            .cloned()
-            .zip(values.iter().copied())
-            .collect();
+        let values: Vec<u64> = (0..vars.len()).map(|j| probe_value(k, j as u64)).collect();
+        let valuation: mba_expr::Valuation =
+            vars.iter().cloned().zip(values.iter().copied()).collect();
         let direct = program
             .eval_valuations(&[valuation], width)
             .expect("probe valuation binds every program variable")[0];

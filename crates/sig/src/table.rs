@@ -155,8 +155,10 @@ mod tests {
         let table = precomputed_table(&vars);
         assert_eq!(table.len(), 256);
         // Spot check: the signature of x∧y∧z is the single-row column.
-        let last = table.iter().find(|r| r.signature.components()
-            == [0, 0, 0, 0, 0, 0, 0, 1]).unwrap();
+        let last = table
+            .iter()
+            .find(|r| r.signature.components() == [0, 0, 0, 0, 0, 0, 0, 1])
+            .unwrap();
         assert_eq!(last.expression.to_string(), "x&y&z");
     }
 }

@@ -98,7 +98,10 @@ impl TruthTable {
         vars: &[Ident],
     ) -> Result<TruthTable, NotBitwiseError> {
         Self::validate_arena(arena, id, vars)?;
-        Ok(Self::of_program(&EvalProgram::compile_arena(arena, id), vars))
+        Ok(Self::of_program(
+            &EvalProgram::compile_arena(arena, id),
+            vars,
+        ))
     }
 
     /// Shared table-building body of [`TruthTable::of`] and
@@ -173,7 +176,11 @@ impl TruthTable {
     fn validate(e: &Expr, vars: &[Ident]) -> Result<(), NotBitwiseError> {
         if vars.len() > Self::MAX_VARS {
             return Err(NotBitwiseError {
-                detail: format!("{} variables exceed the maximum of {}", vars.len(), Self::MAX_VARS),
+                detail: format!(
+                    "{} variables exceed the maximum of {}",
+                    vars.len(),
+                    Self::MAX_VARS
+                ),
             });
         }
         for (i, v) in vars.iter().enumerate() {
@@ -207,7 +214,11 @@ impl TruthTable {
     ) -> Result<(), NotBitwiseError> {
         if vars.len() > Self::MAX_VARS {
             return Err(NotBitwiseError {
-                detail: format!("{} variables exceed the maximum of {}", vars.len(), Self::MAX_VARS),
+                detail: format!(
+                    "{} variables exceed the maximum of {}",
+                    vars.len(),
+                    Self::MAX_VARS
+                ),
             });
         }
         for (i, v) in vars.iter().enumerate() {
@@ -332,7 +343,9 @@ impl TruthTable {
     /// The table as a 0/1 integer column — one column of the paper's
     /// matrix `M`.
     pub fn column(&self) -> Vec<i128> {
-        (0..self.num_rows()).map(|r| i128::from(self.row(r))).collect()
+        (0..self.num_rows())
+            .map(|r| i128::from(self.row(r)))
+            .collect()
     }
 }
 

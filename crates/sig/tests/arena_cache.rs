@@ -47,8 +47,7 @@ fn lookups(e: &Expr) -> Vec<(&Expr, Vec<Ident>)> {
         .filter(|s| s.is_pure_bitwise())
         .filter_map(|s| {
             let vars: Vec<Ident> = s.vars().into_iter().collect();
-            (!vars.is_empty() && vars.len() <= TruthTable::MAX_VARS)
-                .then_some((s, vars))
+            (!vars.is_empty() && vars.len() <= TruthTable::MAX_VARS).then_some((s, vars))
         })
         .collect()
 }

@@ -54,7 +54,10 @@ fn corner_signature_golden_constant_offset() {
     // e = x + 4: s = [−e(0), −e(−1)] = [−4, −3].
     let e: Expr = "x + 4".parse().unwrap();
     let vars = vars_of(&e);
-    assert_eq!(simba::corner_signature(&e, &vars, 64).unwrap(), vec![-4, -3]);
+    assert_eq!(
+        simba::corner_signature(&e, &vars, 64).unwrap(),
+        vec![-4, -3]
+    );
 }
 
 #[test]

@@ -172,9 +172,7 @@ impl Rewriter<'_> {
                 }
             }
             // Complement laws: x op ¬x.
-            let complement = |pool: &TermPool, u: TermId, v: TermId| {
-                matches!(pool.kind(v), TermKind::Unary(UnOp::Not, inner) if *inner == u)
-            };
+            let complement = |pool: &TermPool, u: TermId, v: TermId| matches!(pool.kind(v), TermKind::Unary(UnOp::Not, inner) if *inner == u);
             if complement(self.pool, a, b) || complement(self.pool, b, a) {
                 match op {
                     BinOp::And => return self.pool.constant(0),
@@ -209,16 +207,18 @@ impl Rewriter<'_> {
         // `a + (2^w − 1)·b`, which would bit-blast into a full-width
         // constant multiplier.
         let half = 1u64 << (self.pool.width() - 1);
-        let mut entries: Vec<(TermId, u64)> = atoms
-            .into_iter()
-            .filter(|&(_, c)| c & mask != 0)
-            .collect();
+        let mut entries: Vec<(TermId, u64)> =
+            atoms.into_iter().filter(|&(_, c)| c & mask != 0).collect();
         entries.sort_by_key(|&(t, _)| t);
         let mut acc: Option<TermId> = None;
         for (atom, coef) in entries {
             let coef = coef & mask;
             let negative = coef >= half;
-            let magnitude = if negative { coef.wrapping_neg() & mask } else { coef };
+            let magnitude = if negative {
+                coef.wrapping_neg() & mask
+            } else {
+                coef
+            };
             let term = if magnitude == 1 {
                 atom
             } else {
@@ -229,12 +229,8 @@ impl Rewriter<'_> {
             acc = Some(match (acc, negative) {
                 (None, false) => term,
                 (None, true) => self.pool.intern(TermKind::Unary(UnOp::Neg, term)),
-                (Some(prev), false) => {
-                    self.pool.intern(TermKind::Binary(BinOp::Add, prev, term))
-                }
-                (Some(prev), true) => {
-                    self.pool.intern(TermKind::Binary(BinOp::Sub, prev, term))
-                }
+                (Some(prev), false) => self.pool.intern(TermKind::Binary(BinOp::Add, prev, term)),
+                (Some(prev), true) => self.pool.intern(TermKind::Binary(BinOp::Sub, prev, term)),
             });
         }
         let constant = constant & mask;
@@ -405,7 +401,11 @@ mod tests {
             "3*(x ^ y) - (x ^ y)",
         ];
         for src in cases {
-            for level in [RewriteLevel::Basic, RewriteLevel::Standard, RewriteLevel::Aggressive] {
+            for level in [
+                RewriteLevel::Basic,
+                RewriteLevel::Standard,
+                RewriteLevel::Aggressive,
+            ] {
                 let mut pool = TermPool::new(8);
                 let e: Expr = src.parse().unwrap();
                 let id = pool.from_expr(&e);

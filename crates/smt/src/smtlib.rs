@@ -127,10 +127,7 @@ mod tests {
     #[test]
     fn terms_use_bv_operators() {
         let e: Expr = "~(x ^ y) - -z".parse().unwrap();
-        assert_eq!(
-            to_term(&e, 32),
-            "(bvsub (bvnot (bvxor x y)) (bvneg z))"
-        );
+        assert_eq!(to_term(&e, 32), "(bvsub (bvnot (bvxor x y)) (bvneg z))");
     }
 
     #[test]
@@ -164,16 +161,9 @@ mod tests {
 
     #[test]
     fn variables_from_both_sides_are_declared_once() {
-        let script = equivalence_query(
-            &"a + b".parse().unwrap(),
-            &"b + c".parse().unwrap(),
-            8,
-        );
+        let script = equivalence_query(&"a + b".parse().unwrap(), &"b + c".parse().unwrap(), 8);
         for v in ["a", "b", "c"] {
-            assert_eq!(
-                script.matches(&format!("(declare-const {v} ")).count(),
-                1
-            );
+            assert_eq!(script.matches(&format!("(declare-const {v} ")).count(), 1);
         }
     }
 

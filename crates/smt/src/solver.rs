@@ -366,12 +366,7 @@ mod tests {
     }
 
     fn check(lhs: &str, rhs: &str, width: u32) -> CheckResult {
-        solver().check_equivalence(
-            &lhs.parse().unwrap(),
-            &rhs.parse().unwrap(),
-            width,
-            None,
-        )
+        solver().check_equivalence(&lhs.parse().unwrap(), &rhs.parse().unwrap(), width, None)
     }
 
     #[test]
@@ -449,12 +444,8 @@ mod tests {
         let lhs: Expr = "x*y".parse().unwrap();
         let rhs: Expr = "(x&~y)*(~x&y) + (x&y)*(x|y)".parse().unwrap();
         for _ in 0..3 {
-            let r = solver().check_equivalence_budgeted(
-                &lhs,
-                &rhs,
-                8,
-                &MiterBudget::propagations(1),
-            );
+            let r =
+                solver().check_equivalence_budgeted(&lhs, &rhs, 8, &MiterBudget::propagations(1));
             assert_eq!(r.outcome, CheckOutcome::Timeout);
             assert!(r.sat_stats.propagations <= 2, "budget overrun");
         }
@@ -509,12 +500,8 @@ mod tests {
                 "{} failed the identity",
                 profile.name
             );
-            let bad = s.check_equivalence(
-                &"x".parse().unwrap(),
-                &"x + 1".parse().unwrap(),
-                8,
-                None,
-            );
+            let bad =
+                s.check_equivalence(&"x".parse().unwrap(), &"x + 1".parse().unwrap(), 8, None);
             assert!(
                 matches!(bad.outcome, CheckOutcome::NotEquivalent(_)),
                 "{} failed the refutation",

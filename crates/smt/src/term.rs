@@ -227,7 +227,9 @@ mod tests {
         let id = pool.from_expr(&e);
         let env: HashMap<Ident, u64> =
             [(Ident::new("x"), 0xabcd), (Ident::new("y"), 0x1234)].into();
-        let v = mba_expr::Valuation::new().with("x", 0xabcd).with("y", 0x1234);
+        let v = mba_expr::Valuation::new()
+            .with("x", 0xabcd)
+            .with("y", 0x1234);
         assert_eq!(pool.eval(id, &env), e.eval(&v, 16));
     }
 

@@ -173,7 +173,13 @@ impl Synthesizer {
                 let candidate_program = EvalProgram::compile(&entry.expr);
                 let k0 = PROBE_LANES as u64;
                 let want = probe_row(&target_program, &vars, self.config.width, k0, VERIFY_LANES);
-                let got = probe_row(&candidate_program, &vars, self.config.width, k0, VERIFY_LANES);
+                let got = probe_row(
+                    &candidate_program,
+                    &vars,
+                    self.config.width,
+                    k0,
+                    VERIFY_LANES,
+                );
                 if want != got {
                     stats::record_fallback();
                     return None;
@@ -237,9 +243,9 @@ mod tests {
             ("x + y + z - (((x+z)*(x+z+1)) & 1)", "x+(y+z)"),
         ] {
             let target: Expr = src.parse().unwrap();
-            let got = s.synthesize(&target).unwrap_or_else(|| {
-                panic!("no synthesis for `{src}`")
-            });
+            let got = s
+                .synthesize(&target)
+                .unwrap_or_else(|| panic!("no synthesis for `{src}`"));
             assert_eq!(got.to_string(), want, "synthesizing `{src}`");
         }
     }

@@ -103,14 +103,10 @@ impl Builder<'_> {
             return;
         }
         fresh.push(e.clone());
-        self.pool
-            .by_tt
-            .entry(sig.tt)
-            .or_default()
-            .push(PoolEntry {
-                expr: e,
-                probes: sig.probes,
-            });
+        self.pool.by_tt.entry(sig.tt).or_default().push(PoolEntry {
+            expr: e,
+            probes: sig.probes,
+        });
     }
 }
 

@@ -98,7 +98,9 @@ pub(crate) fn probe_row(
             let j = vars
                 .binary_search(name)
                 .expect("program variable outside the query's variable list");
-            (0..lanes).map(|k| probe_value(k0 + k as u64, j as u64)).collect()
+            (0..lanes)
+                .map(|k| probe_value(k0 + k as u64, j as u64))
+                .collect()
         })
         .collect();
     program.eval_batch(lanes, &columns, width)

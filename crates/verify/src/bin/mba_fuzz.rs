@@ -53,8 +53,7 @@ fn run() -> Result<ExitCode, String> {
             "--seed" | "-s" => config.seed = parse(&arg, args.next())?,
             "--jobs" | "-j" => config.jobs = parse(&arg, args.next())?,
             "--time-budget-ms" => {
-                config.time_budget =
-                    Some(Duration::from_millis(parse(&arg, args.next())?));
+                config.time_budget = Some(Duration::from_millis(parse(&arg, args.next())?));
             }
             "--max-depth" => config.case.random.max_depth = parse(&arg, args.next())?,
             "--vars" => config.case.random.num_vars = parse(&arg, args.next())?,
@@ -91,10 +90,16 @@ fn run() -> Result<ExitCode, String> {
         .push_int("oracle_checks", report.oracle.checks)
         .push_int("oracle_evaluations", report.oracle.evaluations)
         .push_int("oracle_truth_tables", report.oracle.truth_tables)
-        .push_int("oracle_truth_table_proofs", report.oracle.truth_table_proofs)
+        .push_int(
+            "oracle_truth_table_proofs",
+            report.oracle.truth_table_proofs,
+        )
         .push_int("oracle_miters", report.oracle.miters)
         .push_int("oracle_miter_proofs", report.oracle.miter_proofs)
-        .push_int("oracle_miter_rewrite_closed", report.oracle.miter_rewrite_closed)
+        .push_int(
+            "oracle_miter_rewrite_closed",
+            report.oracle.miter_rewrite_closed,
+        )
         .push_int("oracle_miter_unknowns", report.oracle.miter_unknowns)
         .push_int("oracle_miter_skipped", report.oracle.miter_skipped)
         .push_int("oracle_miter_conflicts", report.oracle.miter_conflicts)
@@ -133,7 +138,11 @@ fn run() -> Result<ExitCode, String> {
     eprintln!(
         "mba_fuzz: {} DISCREPANCIES{}",
         report.discrepancies.len(),
-        if report.stopped_early { " (stopped early)" } else { "" }
+        if report.stopped_early {
+            " (stopped early)"
+        } else {
+            ""
+        }
     );
     for d in &report.discrepancies {
         if !quiet {

@@ -84,8 +84,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, Reproducer)>, String> {
         .map(|path| {
             let text = fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let rep = parse_reproducer(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+            let rep = parse_reproducer(&text).map_err(|e| format!("{}: {e}", path.display()))?;
             Ok((path, rep))
         })
         .collect()

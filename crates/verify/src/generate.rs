@@ -125,7 +125,9 @@ pub fn case_rng(seed: u64, index: u64) -> StdRng {
 fn wide_bitwise_case(rng: &mut StdRng) -> (Expr, Expr) {
     use mba_expr::{BinOp, UnOp};
     let t = rng.gen_range(13..=16usize);
-    let names: Vec<String> = (0..t).map(|i| ((b'a' + i as u8) as char).to_string()).collect();
+    let names: Vec<String> = (0..t)
+        .map(|i| ((b'a' + i as u8) as char).to_string())
+        .collect();
     let mut base = Expr::var(names[0].as_str());
     for name in &names[1..] {
         let op = match rng.gen_range(0..3) {
@@ -237,9 +239,7 @@ mod tests {
     fn adjacent_seeds_do_not_share_streams() {
         let config = CaseConfig::default();
         let same = (0..64)
-            .filter(|&i| {
-                generate_case(1, i, &config).expr == generate_case(2, i, &config).expr
-            })
+            .filter(|&i| generate_case(1, i, &config).expr == generate_case(2, i, &config).expr)
             .count();
         assert!(same < 8, "seeds 1 and 2 share {same}/64 cases");
     }

@@ -380,11 +380,7 @@ impl Fuzzer {
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(case) = cases.get(i) else { break };
-                            local.push(self.check_case(
-                                case,
-                                &batch_results[i].output,
-                                &mut stats,
-                            ));
+                            local.push(self.check_case(case, &batch_results[i].output, &mut stats));
                         }
                         (stats, local)
                     })
@@ -486,12 +482,10 @@ impl Fuzzer {
                                 // Decide who lies: if the *input* already
                                 // disagrees with the target, the generator
                                 // broke its own contract.
-                                let kind = match self.oracle.refute_by_eval(
-                                    &case.expr,
-                                    target,
-                                    &mut rng,
-                                    stats,
-                                ) {
+                                let kind = match self
+                                    .oracle
+                                    .refute_by_eval(&case.expr, target, &mut rng, stats)
+                                {
                                     Some(gm) => DiscrepancyKind::GeneratorUnsound(gm),
                                     None => DiscrepancyKind::Unsound(m),
                                 };
@@ -631,8 +625,7 @@ impl Fuzzer {
                 })
             }
         };
-        let (shrunk, shrink_stats) =
-            shrink(&case.expr, self.config.shrink_attempts, predicate);
+        let (shrunk, shrink_stats) = shrink(&case.expr, self.config.shrink_attempts, predicate);
         Discrepancy {
             iteration: case.index,
             case_kind: case.kind,

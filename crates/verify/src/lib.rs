@@ -49,9 +49,7 @@ pub mod oracle;
 pub mod shrink;
 
 pub use generate::{generate_case, CaseConfig, CaseKind, FuzzCase};
-pub use harness::{
-    Discrepancy, DiscrepancyKind, FuzzConfig, FuzzReport, Fuzzer, SimplifyPath,
-};
+pub use harness::{Discrepancy, DiscrepancyKind, FuzzConfig, FuzzReport, Fuzzer, SimplifyPath};
 pub use oracle::{
     EquivalenceOracle, Mismatch, OracleConfig, OracleStats, OracleTier, Verdict,
     BDD_ORACLE_MAX_VARS,

@@ -298,10 +298,7 @@ impl EquivalenceOracle {
         }
 
         // Tier 2: truth tables (exact for pure-bitwise pairs).
-        if lhs.is_pure_bitwise()
-            && rhs.is_pure_bitwise()
-            && vars.len() <= TruthTable::MAX_VARS
-        {
+        if lhs.is_pure_bitwise() && rhs.is_pure_bitwise() && vars.len() <= TruthTable::MAX_VARS {
             if let (Ok(lt), Ok(rt)) = (TruthTable::of(lhs, &vars), TruthTable::of(rhs, &vars)) {
                 stats.truth_tables += 1;
                 if lt == rt {

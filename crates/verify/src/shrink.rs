@@ -83,7 +83,10 @@ fn candidates(e: &Expr) -> Vec<Expr> {
             Expr::Unary(op, _) => {
                 push(Expr::unary(*op, x.clone()), &mut out);
                 push(
-                    Expr::unary(*op, Expr::binary(mba_expr::BinOp::And, x.clone(), y.clone())),
+                    Expr::unary(
+                        *op,
+                        Expr::binary(mba_expr::BinOp::And, x.clone(), y.clone()),
+                    ),
                     &mut out,
                 );
             }
@@ -96,12 +99,7 @@ fn candidates(e: &Expr) -> Vec<Expr> {
         if target.node_count() <= 1 {
             continue;
         }
-        let mut leaves: Vec<Expr> = target
-            .vars()
-            .into_iter()
-            .take(2)
-            .map(Expr::Var)
-            .collect();
+        let mut leaves: Vec<Expr> = target.vars().into_iter().take(2).map(Expr::Var).collect();
         leaves.extend([Expr::Const(0), Expr::Const(1), Expr::Const(-1)]);
         for leaf in leaves {
             push(replace_subtree(e, target, &leaf), &mut out);

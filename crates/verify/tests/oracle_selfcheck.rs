@@ -38,12 +38,8 @@ fn every_sat_miter_witness_reevaluates_to_a_difference() {
     let mut checked = 0;
     for width in [4, 8, 16] {
         for (lhs, rhs) in inequivalent_pairs() {
-            let result = solver.check_equivalence_budgeted(
-                &lhs,
-                &rhs,
-                width,
-                &MiterBudget::unlimited(),
-            );
+            let result =
+                solver.check_equivalence_budgeted(&lhs, &rhs, width, &MiterBudget::unlimited());
             let CheckOutcome::NotEquivalent(cex) = result.outcome else {
                 panic!("`{lhs}` vs `{rhs}` at width {width}: expected NotEquivalent");
             };
@@ -90,7 +86,10 @@ fn oracle_miter_mismatches_carry_validated_witnesses() {
         }
     }
     assert!(stats.miter_mismatches > 0);
-    assert!(miter_hits > 0, "at least the mixed pairs must reach the miter");
+    assert!(
+        miter_hits > 0,
+        "at least the mixed pairs must reach the miter"
+    );
 }
 
 #[test]

@@ -80,8 +80,5 @@ fn figure1_seed_entry_simplifies_to_xy() {
         .iter()
         .find(|(p, _)| p.file_name().unwrap() == "seed-figure1.txt")
         .expect("figure-1 seed entry present");
-    assert_eq!(
-        Simplifier::new().simplify(&fig1.1.expr).to_string(),
-        "x*y"
-    );
+    assert_eq!(Simplifier::new().simplify(&fig1.1.expr).to_string(), "x*y");
 }

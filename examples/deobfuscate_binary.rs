@@ -36,7 +36,10 @@ fn main() {
     let simplifier = Simplifier::new();
     let prover = SmtSolver::new(SolverProfile::boolector_style());
 
-    println!("{:<52} {:>6} -> recovered semantics", "captured expression", "alt");
+    println!(
+        "{:<52} {:>6} -> recovered semantics",
+        "captured expression", "alt"
+    );
     for src in CAPTURED {
         let captured: Expr = src.parse().expect("lifted expression parses");
         let metrics = Metrics::of(&captured);
@@ -44,8 +47,14 @@ fn main() {
 
         // Cross-check 1: random differential testing at two widths.
         let vals = [
-            Valuation::new().with("x", 0xdead_beef).with("y", 0x1234).with("z", 7),
-            Valuation::new().with("x", u64::MAX).with("y", 1).with("z", 0),
+            Valuation::new()
+                .with("x", 0xdead_beef)
+                .with("y", 0x1234)
+                .with("z", 7),
+            Valuation::new()
+                .with("x", u64::MAX)
+                .with("y", 1)
+                .with("z", 0),
         ];
         for v in &vals {
             assert_eq!(captured.eval(v, 64), recovered.eval(v, 64));
@@ -63,11 +72,7 @@ fn main() {
         // multiplication miters quick while still being a real proof
         // for that ring (the identities are width-generic anyway).
         let proof = prover.check_equivalence(&captured, &recovered, 6, None);
-        assert_eq!(
-            proof.outcome,
-            CheckOutcome::Equivalent,
-            "SMT refused {src}"
-        );
+        assert_eq!(proof.outcome, CheckOutcome::Equivalent, "SMT refused {src}");
 
         println!("{src:<52} {:>6} -> {recovered}", metrics.alternation);
     }

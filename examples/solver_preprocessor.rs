@@ -37,7 +37,8 @@ impl PreprocessingSolver {
     fn check(&self, lhs: &Expr, rhs: &Expr, width: u32, budget: Duration) -> CheckResult {
         let lhs = self.simplifier.simplify(lhs);
         let rhs = self.simplifier.simplify(rhs);
-        self.backend.check_equivalence(&lhs, &rhs, width, Some(budget))
+        self.backend
+            .check_equivalence(&lhs, &rhs, width, Some(budget))
     }
 }
 
@@ -55,7 +56,12 @@ fn main() {
     let (mut raw_solved, mut pre_solved) = (0usize, 0usize);
     let (mut raw_time, mut pre_time) = (Duration::ZERO, Duration::ZERO);
     for sample in corpus.samples() {
-        let r = raw.check_equivalence(&sample.obfuscated, &sample.ground_truth, width, Some(budget));
+        let r = raw.check_equivalence(
+            &sample.obfuscated,
+            &sample.ground_truth,
+            width,
+            Some(budget),
+        );
         raw_time += r.elapsed;
         if r.outcome == CheckOutcome::Equivalent {
             raw_solved += 1;

@@ -116,7 +116,10 @@ impl Bencher {
 }
 
 fn run_one(label: &str, iters: u64, f: impl FnOnce(&mut Bencher)) {
-    let mut bencher = Bencher { iters, elapsed: None };
+    let mut bencher = Bencher {
+        iters,
+        elapsed: None,
+    };
     f(&mut bencher);
     match bencher.elapsed {
         Some(mean) => println!("bench: {label} ... {mean:?} per iter ({iters} iters)"),
@@ -144,7 +147,11 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Benchmarks a closure under `id` within this group.
-    pub fn bench_function(&mut self, id: impl Into<BenchmarkId>, f: impl FnOnce(&mut Bencher)) -> &mut Self {
+    pub fn bench_function(
+        &mut self,
+        id: impl Into<BenchmarkId>,
+        f: impl FnOnce(&mut Bencher),
+    ) -> &mut Self {
         let label = format!("{}/{}", self.name, id.into());
         run_one(&label, self.iters, f);
         self
@@ -173,7 +180,9 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { iters: shim_iters() }
+        Criterion {
+            iters: shim_iters(),
+        }
     }
 }
 
@@ -226,14 +235,20 @@ mod tests {
 
     #[test]
     fn iter_records_a_measurement() {
-        let mut b = Bencher { iters: 3, elapsed: None };
+        let mut b = Bencher {
+            iters: 3,
+            elapsed: None,
+        };
         b.iter(|| 1 + 1);
         assert!(b.elapsed.is_some());
     }
 
     #[test]
     fn iter_batched_excludes_setup() {
-        let mut b = Bencher { iters: 2, elapsed: None };
+        let mut b = Bencher {
+            iters: 2,
+            elapsed: None,
+        };
         b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput);
         assert!(b.elapsed.is_some());
     }

@@ -109,8 +109,12 @@ mod sys {
     extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int)
-            -> c_int;
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
         fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         fn close(fd: c_int) -> c_int;
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -152,9 +156,8 @@ mod sys {
         // the kernel writes `n <= capacity` entries which `set_len`
         // then exposes as initialized (EpollEvent is plain-old-data).
         let n = loop {
-            let ret = unsafe {
-                epoll_wait(epfd, events.as_mut_ptr(), capacity as c_int, timeout_ms)
-            };
+            let ret =
+                unsafe { epoll_wait(epfd, events.as_mut_ptr(), capacity as c_int, timeout_ms) };
             match cvt(ret) {
                 Ok(n) => break n as usize,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -390,8 +393,10 @@ mod linux_impl {
             let timeout_ms: c_int = match timeout {
                 None => -1,
                 // Round up so a 100µs timeout does not spin at 0ms.
-                Some(d) => d.as_millis().min(i32::MAX as u128) as c_int
-                    + c_int::from(d.subsec_nanos() % 1_000_000 != 0),
+                Some(d) => {
+                    d.as_millis().min(i32::MAX as u128) as c_int
+                        + c_int::from(d.subsec_nanos() % 1_000_000 != 0)
+                }
             };
             sys::wait(
                 self.registry.epfd,
@@ -647,12 +652,16 @@ mod tests {
         let mut events = Events::with_capacity(16);
 
         // No client yet: a short poll returns empty.
-        poll.poll(&mut events, Some(Duration::from_millis(10))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
         assert!(events.is_empty());
 
         let mut client = TcpStream::connect(addr).unwrap();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(events.iter().any(|e| e.token() == LISTENER && e.is_readable()));
+        poll.poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.token() == LISTENER && e.is_readable()));
 
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
@@ -661,7 +670,8 @@ mod tests {
             .unwrap();
 
         client.write_all(b"ping").unwrap();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token() == CONN && e.is_readable()));
         let mut buf = [0u8; 8];
         let n = (&server_side).read(&mut buf).unwrap();
@@ -672,7 +682,8 @@ mod tests {
         poll.registry()
             .reregister(&server_side, CONN, Interest::WRITABLE)
             .unwrap();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token() == CONN && e.is_writable()));
 
         // Peer close surfaces as read-closed readiness.
@@ -680,7 +691,8 @@ mod tests {
             .reregister(&server_side, CONN, Interest::READABLE)
             .unwrap();
         drop(client);
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         let ev = events
             .iter()
             .find(|e| e.token() == CONN)
@@ -705,7 +717,8 @@ mod tests {
             w.wake().unwrap();
         });
         let start = Instant::now();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(start.elapsed() < Duration::from_secs(4), "poll never woke");
         assert!(events.iter().any(|e| e.token() == WAKER && e.is_readable()));
         waker.drain();
@@ -713,12 +726,14 @@ mod tests {
 
         // A fresh wake after draining produces a fresh event.
         waker.wake().unwrap();
-        poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token() == WAKER));
         waker.drain();
 
         // And with nothing pending, the poll times out empty.
-        poll.poll(&mut events, Some(Duration::from_millis(10))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
         assert!(events.is_empty());
     }
 
@@ -728,7 +743,8 @@ mod tests {
         let mut events = Events::with_capacity(4);
         let start = Instant::now();
         // 1.5ms must not truncate to 1ms-and-spin nor to 0.
-        poll.poll(&mut events, Some(Duration::from_micros(1500))).unwrap();
+        poll.poll(&mut events, Some(Duration::from_micros(1500)))
+            .unwrap();
         assert!(start.elapsed() >= Duration::from_millis(1));
     }
 
@@ -768,7 +784,8 @@ mod tests {
         let mut events = Events::with_capacity(4);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..4 {
-            poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+            poll.poll(&mut events, Some(Duration::from_secs(2)))
+                .unwrap();
             let n = events.iter().count();
             assert!(n <= 4);
             for e in events.iter() {

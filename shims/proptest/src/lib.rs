@@ -435,13 +435,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -455,7 +461,10 @@ pub mod collection {
     /// Vectors with a size drawn from `size` and elements from
     /// `element`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -463,7 +472,12 @@ pub mod collection {
 
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.hi - self.size.lo) as u64;
-            let len = self.size.lo + if span == 0 { 0 } else { rng.below(span + 1) as usize };
+            let len = self.size.lo
+                + if span == 0 {
+                    0
+                } else {
+                    rng.below(span + 1) as usize
+                };
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }
@@ -769,10 +783,11 @@ mod tests {
                 Tree::Node(a, b) => 1 + depth(a).max(depth(b)),
             }
         }
-        let s = any::<u8>().prop_map(Tree::Leaf).prop_recursive(4, 32, 2, |inner| {
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
-        });
+        let s = any::<u8>()
+            .prop_map(Tree::Leaf)
+            .prop_recursive(4, 32, 2, |inner| {
+                (inner.clone(), inner).prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
+            });
         let mut rng = rng();
         let mut max_depth = 0;
         for _ in 0..200 {
@@ -788,10 +803,19 @@ mod tests {
     fn vec_strategy_honors_size_forms() {
         let mut rng = rng();
         for _ in 0..100 {
-            assert_eq!(crate::collection::vec(Just(0u8), 5).generate(&mut rng).len(), 5);
-            let l = crate::collection::vec(Just(0u8), 1..4).generate(&mut rng).len();
+            assert_eq!(
+                crate::collection::vec(Just(0u8), 5)
+                    .generate(&mut rng)
+                    .len(),
+                5
+            );
+            let l = crate::collection::vec(Just(0u8), 1..4)
+                .generate(&mut rng)
+                .len();
             assert!((1..4).contains(&l));
-            let m = crate::collection::vec(Just(0u8), 0..=2).generate(&mut rng).len();
+            let m = crate::collection::vec(Just(0u8), 0..=2)
+                .generate(&mut rng)
+                .len();
             assert!(m <= 2);
         }
     }
@@ -802,7 +826,9 @@ mod tests {
         for _ in 0..100 {
             let s = "[-~ ()xyz0-9+*&|^]{0,48}".generate(&mut rng);
             assert!(s.chars().count() <= 48);
-            assert!(s.chars().all(|c| "-~ ()xyz+*&|^".contains(c) || c.is_ascii_digit()));
+            assert!(s
+                .chars()
+                .all(|c| "-~ ()xyz+*&|^".contains(c) || c.is_ascii_digit()));
             let t = ".{0,64}".generate(&mut rng);
             assert!(t.chars().count() <= 64);
         }

@@ -131,8 +131,7 @@ fn shared_cache_across_simplifiers_is_transparent() {
     // Two simplifiers over the same cache, run one after the other: the
     // second sees a fully warm cache and must still agree byte-for-byte.
     for round in 0..2 {
-        let simplifier =
-            Simplifier::with_cache(SimplifyConfig::default(), Arc::clone(&cache));
+        let simplifier = Simplifier::with_cache(SimplifyConfig::default(), Arc::clone(&cache));
         let outputs = render(&simplifier.simplify_batch_with_jobs(&exprs, 4));
         assert_eq!(outputs, reference, "round {round} diverged");
     }

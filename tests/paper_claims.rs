@@ -17,12 +17,7 @@ fn figure_1_identity_is_simplified_and_proven() {
 
     for profile in SolverProfile::all() {
         let solver = SmtSolver::new(profile.clone());
-        let r = solver.check_equivalence(
-            &simplified,
-            &"x*y".parse().unwrap(),
-            16,
-            None,
-        );
+        let r = solver.check_equivalence(&simplified, &"x*y".parse().unwrap(), 16, None);
         assert_eq!(r.outcome, CheckOutcome::Equivalent, "{}", profile.name);
         assert!(r.solved_by_rewriting, "{} needed search", profile.name);
     }
@@ -120,12 +115,8 @@ fn background_hakmem_identities_prove_at_all_profiles() {
     for (lhs, rhs) in [("x | y", "(x & ~y) + y"), ("x ^ y", "(x | y) - (x & y)")] {
         for profile in SolverProfile::all() {
             let solver = SmtSolver::new(profile.clone());
-            let r = solver.check_equivalence(
-                &lhs.parse().unwrap(),
-                &rhs.parse().unwrap(),
-                16,
-                None,
-            );
+            let r =
+                solver.check_equivalence(&lhs.parse().unwrap(), &rhs.parse().unwrap(), 16, None);
             assert_eq!(
                 r.outcome,
                 CheckOutcome::Equivalent,

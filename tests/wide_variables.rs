@@ -18,7 +18,9 @@ fn eight_variable_linear_mba_normalizes() {
     let wide_or = vars
         .iter()
         .skip(1)
-        .fold(Expr::var(vars[0].clone()), |acc, v| acc | Expr::var(v.clone()));
+        .fold(Expr::var(vars[0].clone()), |acc, v| {
+            acc | Expr::var(v.clone())
+        });
     let e = wide_or.clone() + Expr::var("v3") - wide_or;
     let out = Simplifier::new().simplify(&e);
     assert_eq!(out.to_string(), "v3");
@@ -32,7 +34,9 @@ fn ten_variable_signature_roundtrip() {
         .iter()
         .take(10)
         .skip(1)
-        .fold(Expr::var(vars[0].clone()), |acc, v| acc & Expr::var(v.clone()));
+        .fold(Expr::var(vars[0].clone()), |acc, v| {
+            acc & Expr::var(v.clone())
+        });
     let xor = Expr::var("v0") ^ Expr::var("v9");
     let e = Expr::constant(3) * conj.clone() - xor.clone() + Expr::constant(5);
     let sig = SignatureVector::of_linear(&e, &vars).expect("10-var signature");
@@ -57,7 +61,9 @@ fn thirteen_variables_stay_opaque_but_sound() {
     let wide = vars
         .iter()
         .skip(1)
-        .fold(Expr::var(vars[0].clone()), |acc, v| acc | Expr::var(v.clone()));
+        .fold(Expr::var(vars[0].clone()), |acc, v| {
+            acc | Expr::var(v.clone())
+        });
     let e = wide.clone() + Expr::constant(0);
     let out = Simplifier::new().simplify(&e);
     let mut rng = StdRng::seed_from_u64(7);
