@@ -32,7 +32,7 @@ fn distinct_tables(n: usize) -> Vec<TruthTable> {
 
 #[test]
 fn occupancy_never_exceeds_budget() {
-    let budget = 48; // the clamp floor: 3 maps × 16 shards × 1 slot
+    let budget = 48;
     let cache = SigCache::with_budget(budget);
     assert_eq!(cache.budget(), Some(budget));
     let arena = ExprArena::new();
@@ -72,6 +72,29 @@ fn and_basis_traffic_fills_more_than_half_the_budget() {
         cache.len() > budget / 2,
         "∧-basis traffic holds only {} of {budget} entries",
         cache.len()
+    );
+    assert!(cache.len() <= budget);
+}
+
+/// The maps share one budget, so traffic that reaches only one of them
+/// fills nearly all of it before the first eviction.
+#[test]
+fn one_maps_traffic_fills_the_budget_before_evicting() {
+    let budget = 1024;
+    let cache = SigCache::with_budget(budget);
+    let arena = ExprArena::new();
+    let mut held_before_evicting = 0;
+    for (id, vars) in distinct_ids(&arena, 2 * budget) {
+        cache.table_of_id(&arena, id, &vars).unwrap();
+        if cache.evictions() > 0 {
+            break;
+        }
+        held_before_evicting = cache.len();
+    }
+    assert!(cache.evictions() > 0, "twice the budget in keys must evict");
+    assert!(
+        held_before_evicting * 10 >= budget * 9,
+        "one map held only {held_before_evicting} of {budget} entries before evicting"
     );
     assert!(cache.len() <= budget);
 }
